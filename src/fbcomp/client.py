@@ -166,7 +166,7 @@ def open_direct_session(context: FramebufferContext, sink,
     region, _ = shm.create_region(config)
     shm.publish(region)
     header = shm.read_header(region)
-    queue = shm.producer_queue(memoryview(region), header, context.format)
+    queue = shm.queue_view(memoryview(region), header, context.format)
     return ClientSession(context, queue, clock, health_monitor=health_monitor,
                          region=memoryview(region), header=header, sink=sink)
 

@@ -5,15 +5,14 @@ non-overlapping placements, enforces watchdog and minimum-framerate
 policies, paints a visible indicator over disconnected clients, and
 presents the target through an output sink.
 
-The client table is mutated only by register/reconnect/disconnect calls
-and read by compose; a harness running a concurrent watchdog thread must
-serialize those through `lock`.
+One thread drives the server: registration, the watchdog and
+framerate checks and compose all run on it, so the client table needs
+no lock.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from struct import error as struct_error
 from collections import deque
 from dataclasses import dataclass, field
@@ -23,8 +22,8 @@ import numpy as np
 
 from . import shm
 from .clock import Clock, WallClock
-from .errors import (AlreadyConnected, ClientNotFound, PlacementConflict,
-                     PresentFailure)
+from .errors import (AlreadyConnected, ClientNotFound, FramebufferError,
+                     PlacementConflict, PresentFailure)
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
@@ -115,7 +114,6 @@ class CompositorServer:
         self.clients: Dict[int, ClientDescriptor] = {}
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
-        self.lock = threading.Lock()
         self._next_id = 1
 
     # -- registration ------------------------------------------------------
@@ -139,51 +137,45 @@ class CompositorServer:
             raise ValueError(
                 f"placement {placement.width}x{placement.height} does not match "
                 f"client surface {header.width}x{header.height}")
-        with self.lock:
-            for other in self.clients.values():
-                if other.state is ClientState.ACTIVE and placement.overlaps(other.placement):
-                    raise PlacementConflict(
-                        f"placement {placement} overlaps client {other.id}")
-            if client_id is None:
-                client_id = self._next_id
-                self._next_id += 1
-            elif client_id in self.clients:
-                raise AlreadyConnected(f"client {client_id} already registered")
-            else:
-                self._next_id = max(self._next_id, client_id + 1)
-            now = self.clock.now_us()
-            desc = ClientDescriptor(
-                id=client_id, region=memoryview(region), header=header,
-                queue=shm.consumer_queue(region, header,
-                                         self._client_format(region, header),
-                                         pixel_buf=pixel_buf),
-                placement=placement, format=self._client_format(region, header),
-                min_fps=min_fps, timeout_us=header.timeout_us,
-                deadline_us=now + header.timeout_us,
-                last_heartbeat=shm.read_heartbeat(region, header),
-                connected_at_us=now,
-            )
-            self.clients[client_id] = desc
-            return desc
+        for other in self.clients.values():
+            if other.state is ClientState.ACTIVE and placement.overlaps(other.placement):
+                raise PlacementConflict(
+                    f"placement {placement} overlaps client {other.id}")
+        if client_id is None:
+            client_id = self._next_id
+            self._next_id += 1
+        elif client_id in self.clients:
+            raise AlreadyConnected(f"client {client_id} already registered")
+        else:
+            self._next_id = max(self._next_id, client_id + 1)
+        now = self.clock.now_us()
+        fmt = self._client_format(region, header)
+        desc = ClientDescriptor(
+            id=client_id, region=memoryview(region), header=header,
+            queue=shm.queue_view(region, header, fmt, pixel_buf=pixel_buf),
+            placement=placement, format=fmt,
+            min_fps=min_fps, timeout_us=header.timeout_us,
+            deadline_us=now + header.timeout_us,
+            last_heartbeat=shm.read_heartbeat(region, header),
+            connected_at_us=now,
+        )
+        self.clients[client_id] = desc
+        return desc
 
     def reconnect_client(self, client_id: int, region,
                          pixel_buf=None) -> ClientDescriptor:
         """Fresh descriptor at the same placement after a disconnect."""
-        with self.lock:
-            old = self.clients.get(client_id)
-            if old is None:
-                raise ClientNotFound(f"client {client_id} was never registered")
-            if old.state is ClientState.ACTIVE:
-                raise AlreadyConnected(f"client {client_id} is still connected")
-            placement = old.placement
-            min_fps = old.min_fps
-            del self.clients[client_id]
+        old = self.clients.get(client_id)
+        if old is None:
+            raise ClientNotFound(f"client {client_id} was never registered")
+        if old.state is ClientState.ACTIVE:
+            raise AlreadyConnected(f"client {client_id} is still connected")
+        del self.clients[client_id]
         try:
-            return self.register_client(region, placement, min_fps,
+            return self.register_client(region, old.placement, old.min_fps,
                                         client_id=client_id, pixel_buf=pixel_buf)
         except Exception:
-            with self.lock:
-                self.clients[client_id] = old
+            self.clients[client_id] = old
             raise
 
     def _client_format(self, region, header) -> PixelFormat:
@@ -219,9 +211,8 @@ class CompositorServer:
         """
         now = self.clock.now_us() if now_us is None else now_us
         fired = []
-        with self.lock:
-            active = [d for d in self.clients.values()
-                      if d.state is ClientState.ACTIVE]
+        active = [d for d in self.clients.values()
+                  if d.state is ClientState.ACTIVE]
         for desc in active:
             try:
                 hb = shm.read_heartbeat(desc.region, desc.header)
@@ -260,9 +251,8 @@ class CompositorServer:
     def check_framerates(self, now_us: Optional[int] = None) -> List[DisconnectEvent]:
         now = self.clock.now_us() if now_us is None else now_us
         before = len(self.events)
-        with self.lock:
-            active = [d for d in self.clients.values()
-                      if d.state is ClientState.ACTIVE]
+        active = [d for d in self.clients.values()
+                  if d.state is ClientState.ACTIVE]
         for desc in active:
             self.check_framerate(desc, now)
         return self.events[before:]
@@ -272,22 +262,21 @@ class CompositorServer:
     def compose_once(self, now_us: Optional[int] = None) -> ComposeReport:
         """Build one output frame and present it.
 
-        A faulty client is disconnected and composition continues; only
-        an output-sink failure propagates.
+        A client whose region or frames fail the protocol is disconnected
+        and composition continues; an output-sink failure or a server bug
+        propagates.
         """
         now = self.clock.now_us() if now_us is None else now_us
         self.target.clear()
         reports = []
-        with self.lock:
-            table = sorted(self.clients.values(), key=lambda d: d.id)
-        for desc in table:
+        for desc in sorted(self.clients.values(), key=lambda d: d.id):
             if desc.state is ClientState.DISCONNECTED:
                 self._paint_indicator(desc.placement)
                 reports.append(ClientReport(desc.id, "disconnected"))
                 continue
             try:
                 reports.append(self._compose_client(desc, now))
-            except Exception:
+            except (FramebufferError, ValueError, IndexError, struct_error):
                 self.disconnect(desc, "fault", now)
                 self._paint_indicator(desc.placement)
                 reports.append(ClientReport(desc.id, "disconnected"))

@@ -69,10 +69,7 @@ class SharedRegion:
                 pass
 
     def unlink(self) -> None:
-        try:
-            os.unlink(_path(self.name))
-        except FileNotFoundError:
-            pass
+        unlink_region(self.name)
 
 
 def create_region(name: str, size: int) -> SharedRegion:

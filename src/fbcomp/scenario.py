@@ -9,6 +9,10 @@ with optional fault scripts, and runs in one of two engines:
   per client), shared-memory regions in /dev/shm, wall clock. Used for
   process-isolation checks and benchmarks.
 
+One event loop (`_run_loop`) drives both: the sim engine runs the server
+and every partition step in one process, while each wall process runs
+the same steps for its own side.
+
 The text format is INI: a [target] section, a [run] section, and one
 [client:<name>] section per client. Fault scripts are comma-separated
 actions: stall@<start>:<duration>, crash@<t>, garbage-header@<t>,
@@ -18,21 +22,21 @@ slow-to:<fps>@<t> (times in seconds).
 from __future__ import annotations
 
 import configparser
+import heapq
 import io
 import json
 import math
 import multiprocessing
 import os
-import platform
 import tempfile
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import regions, shm, sinks, widgets
 from .client import ClientSession, connect_session
-from .clock import SimClock, WallClock
+from .clock import Clock, SimClock, WallClock
 from .compositor import CompositionTarget, CompositorServer
 from .errors import FramebufferError
 from .pixel import PixelFormat, Rect, SurfaceGeometry, compute_pitch
@@ -324,227 +328,216 @@ def _scribble_header(region) -> None:
     buf[:shm.HEADER_SIZE] = (b"\xde\xad\xbe\xef" * 15)[:shm.HEADER_SIZE]
 
 
-def _render(session: ClientSession, spec: ClientSpec, t_s: float,
-            frame_index: int) -> bool:
-    """One non-blocking produce attempt; True if a frame was submitted."""
-    surface = session.try_begin_frame()
-    if surface is None:
-        return False
-    if spec.widget == "counters":
-        widgets.render_counters(surface, t_s, spec.complexity)
-    else:
-        widgets.render_pattern(surface, frame_index)
-    session.end_frame()
-    return True
+# -- the event loop shared by both engines -----------------------------------
+
+_Step = Callable[[int], Optional[int]]
+
+
+def _run_loop(clock: Clock, end_us: int,
+              steps: List[Tuple[int, int, str, _Step]]) -> None:
+    """Run each step at its due time until none is due by `end_us`.
+
+    An entry is (due_us, order, name, step); `step(due_us)` returns its
+    next due time, or None when it is done. Entries due at the same time
+    run by (order, name). SimClock jumps to each due time; WallClock
+    sleeps until it.
+    """
+    heap = list(steps)
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= end_us:
+        t, order, name, step = heapq.heappop(heap)
+        clock.sleep_us(max(0, t - clock.now_us()))
+        due = step(t)
+        if due is not None:
+            heapq.heappush(heap, (due, order, name, step))
+
+
+class _Partition:
+    """One client's frame step: fault script, rendering, exit status, tallies."""
+
+    def __init__(self, spec: ClientSpec, session: ClientSession, region,
+                 clock: Clock, start_us: int):
+        self.spec = spec
+        self.session = session
+        self.region = region
+        self.clock = clock
+        self.start_us = start_us
+        self.faults = _FaultState(spec)
+        self.out = {"submitted": 0, "skipped": 0, "exit_status": "ok"}
+
+    def step(self, t: int) -> Optional[int]:
+        now = self.clock.now_us()  # equals t under SimClock
+        t_s = (now - self.start_us) / 1e6
+        if self.faults.crashed(t_s):
+            self.out["exit_status"] = "crashed"
+            return None
+        if self.faults.garbage_due(t_s):
+            _scribble_header(self.region)
+        due = now + max(1, int(1e6 / self.faults.fps_at(t_s, self.spec.fps)))
+        if self.faults.stalled(t_s):
+            return due
+        try:
+            surface = self.session.try_begin_frame()
+            if surface is None:
+                self.out["skipped"] += 1
+                return due
+            if self.spec.widget == "counters":
+                widgets.render_counters(surface, t_s, self.spec.complexity)
+            else:
+                widgets.render_pattern(surface, self.out["submitted"])
+            self.session.end_frame()
+        except FramebufferError:
+            self.out["exit_status"] = "lost"
+            return None
+        self.out["submitted"] += 1
+        return due
+
+
+class _Server:
+    """The compositor side: watchdog polls, compose ticks and their tallies.
+
+    Missed periods are dropped, not replayed: a slow compose must never
+    build a backlog that outlives the run.
+    """
+
+    def __init__(self, config: ScenarioConfig, clock: Clock):
+        self.sink = sinks.make_sink(config.run.sink, config.run.sink_dir)
+        target = CompositionTarget(config.target.geometry, config.target.format,
+                                   config.target.background)
+        self.server = CompositorServer(target, self.sink, clock)
+        self.clock = clock
+        self.compose_period = int(1e6 / config.target.rate)
+        self.watchdog_period = max(1, int(config.run.watchdog_poll_s * 1e6))
+        self.names: Dict[int, str] = {}
+        self.presented = {spec.name: 0 for spec in config.clients}
+        self.violations: List[str] = []
+        self.start_us = 0
+
+    def register(self, spec: ClientSpec, region, pixel_buf=None) -> None:
+        desc = self.server.register_client(region, spec.placement, spec.min_fps,
+                                           pixel_buf=pixel_buf)
+        self.names[desc.id] = spec.name
+
+    def steps(self, start_us: int) -> List[Tuple[int, int, str, _Step]]:
+        """Loop entries for both server steps; `start_us` is the time origin
+        of the report."""
+        self.start_us = start_us
+        return [(start_us + self.watchdog_period, 1, "@watchdog", self.watchdog),
+                (start_us + self.compose_period, 3, "@compose", self.compose)]
+
+    def watchdog(self, t: int) -> int:
+        self.server.check_watchdogs(self.clock.now_us())
+        return max(t + self.watchdog_period, self.clock.now_us())
+
+    def compose(self, t: int) -> int:
+        now = self.clock.now_us()
+        try:
+            for cr in self.server.compose_once(now).clients:
+                if cr.outcome == "new":
+                    self.presented[self.names[cr.client_id]] += 1
+        except FramebufferError as exc:
+            self.violations.append(
+                f"compose at {now - self.start_us}us failed: {exc}")
+        self.server.check_framerates(now)
+        return max(t + self.compose_period, self.clock.now_us())
+
+    def result(self) -> dict:
+        index_path = None
+        if isinstance(self.sink, sinks.ImageSequenceSink):
+            index_path = str(self.sink.close())
+        return {
+            "server_frames": self.server.frames_presented,
+            "presented": self.presented,
+            "events": [{"t_us": e.t_us - self.start_us,
+                        "client": self.names.get(e.client_id),
+                        "reason": e.reason} for e in self.server.events],
+            "violations": self.violations,
+            "index_path": index_path,
+            "checksums": (self.sink.checksums()
+                          if isinstance(self.sink, sinks.ChecksumSink) else []),
+        }
+
+
+def _build_report(config: ScenarioConfig, server: dict,
+                  clients: Dict[str, dict]) -> ScenarioReport:
+    """Assemble the report from the server's result and each client's
+    tallies; a client with no tallies died without reporting."""
+    report = ScenarioReport(
+        duration_us=int(config.run.duration_s * 1e6), clock=config.run.clock,
+        server_frames=server["server_frames"],
+        violations=list(server["violations"]),
+        sink=config.run.sink, sink_dir=config.run.sink_dir,
+        index_path=server["index_path"], checksums=server["checksums"])
+    for spec in config.clients:
+        res = ClientResult(spec.name,
+                           presented=server["presented"].get(spec.name, 0))
+        res.disconnect = next(((e["t_us"], e["reason"]) for e in server["events"]
+                               if e["client"] == spec.name), None)
+        out = clients.get(spec.name)
+        if out is None:
+            res.exit_status = "crashed"
+        else:
+            res.submitted = out["submitted"]
+            res.skipped = out["skipped"]
+            res.exit_status = out["exit_status"]
+        report.clients[spec.name] = res
+    return report
 
 
 # -- simulated engine ------------------------------------------------------
 
 def _run_sim(config: ScenarioConfig) -> ScenarioReport:
     clock = SimClock()
-    duration_us = int(config.run.duration_s * 1e6)
-    sink = sinks.make_sink(config.run.sink, config.run.sink_dir)
-    target = CompositionTarget(config.target.geometry, config.target.format,
-                               config.target.background)
-    server = CompositorServer(target, sink, clock)
-
-    sessions: Dict[str, ClientSession] = {}
-    faults: Dict[str, _FaultState] = {}
-    results: Dict[str, ClientResult] = {}
-    ids: Dict[int, str] = {}
-    buffers: Dict[str, bytearray] = {}
+    server = _Server(config, clock)
+    partitions = []
     for spec in config.clients:
         buf, _ = shm.create_region(spec.region_config())
         shm.publish(buf)
         session = connect_session(buf, clock)
-        desc = server.register_client(buf, spec.placement, spec.min_fps)
-        sessions[spec.name] = session
-        faults[spec.name] = _FaultState(spec)
-        results[spec.name] = ClientResult(spec.name)
-        ids[desc.id] = spec.name
-        buffers[spec.name] = buf
-
-    compose_period = int(1e6 / config.target.rate)
-    watchdog_period = max(1, int(config.run.watchdog_poll_s * 1e6))
-    next_compose = compose_period
-    next_watchdog = watchdog_period
-    next_client = {spec.name: 0 for spec in config.clients}
-    frame_index = {spec.name: 0 for spec in config.clients}
-    report = ScenarioReport(duration_us=duration_us, clock="sim",
-                            sink=config.run.sink, sink_dir=config.run.sink_dir)
-
-    while True:
-        pending = [(t, 2, name) for name, t in next_client.items()
-                   if t is not None]
-        pending.append((next_watchdog, 1, "@watchdog"))
-        pending.append((next_compose, 3, "@compose"))
-        pending.sort()
-        t, _, who = pending[0]
-        if t > duration_us:
-            break
-        clock.advance_to(t)
-        t_s = t / 1e6
-
-        if who == "@watchdog":
-            server.check_watchdogs(t)
-            next_watchdog += watchdog_period
-        elif who == "@compose":
-            try:
-                rep = server.compose_once(t)
-                for cr in rep.clients:
-                    if cr.outcome == "new":
-                        results[ids[cr.client_id]].presented += 1
-            except FramebufferError as exc:
-                report.violations.append(f"compose at {t}us failed: {exc}")
-            server.check_framerates(t)
-            next_compose += compose_period
-        else:
-            spec = next(c for c in config.clients if c.name == who)
-            fstate = faults[who]
-            if fstate.crashed(t_s):
-                results[who].exit_status = "crashed"
-                next_client[who] = None
-                continue
-            if fstate.garbage_due(t_s):
-                _scribble_header(buffers[who])
-            fps = fstate.fps_at(t_s, spec.fps)
-            next_client[who] = t + max(1, int(1e6 / fps))
-            if fstate.stalled(t_s):
-                continue
-            try:
-                if _render(sessions[who], spec, t_s, frame_index[who]):
-                    results[who].submitted += 1
-                    frame_index[who] += 1
-                else:
-                    results[who].skipped += 1
-            except FramebufferError:
-                results[who].exit_status = "lost"
-                next_client[who] = None
-
-    for event in server.events:
-        name = ids.get(event.client_id)
-        if name is not None and results[name].disconnect is None:
-            results[name].disconnect = (event.t_us, event.reason)
-    report.server_frames = server.frames_presented
-    report.clients = results
-    if isinstance(sink, sinks.ChecksumSink):
-        report.checksums = sink.checksums()
-    if isinstance(sink, sinks.ImageSequenceSink):
-        report.index_path = str(sink.close())
-    return report
+        server.register(spec, buf)
+        partitions.append(_Partition(spec, session, buf, clock, 0))
+    steps = server.steps(0) + [(0, 2, p.spec.name, p.step) for p in partitions]
+    _run_loop(clock, int(config.run.duration_s * 1e6), steps)
+    return _build_report(config, server.result(),
+                         {p.spec.name: p.out for p in partitions})
 
 
 # -- multi-process engine --------------------------------------------------
 
+_NO_SERVER_RESULT = {"server_frames": 0, "presented": {}, "events": [],
+                     "violations": ["server produced no report"],
+                     "index_path": None, "checksums": []}
+
+
 def _server_main(config_text: str, session_name: str, result_dir: str) -> None:
     config = parse_scenario(config_text)
-    duration_us = int(config.run.duration_s * 1e6)
     clock = WallClock()
-    sink = sinks.make_sink(config.run.sink, config.run.sink_dir)
-    target = CompositionTarget(config.target.geometry, config.target.format,
-                               config.target.background)
-    server = CompositorServer(target, sink, clock)
-
-    shared: Dict[str, regions.SharedRegion] = {}
-    ids: Dict[int, str] = {}
+    server = _Server(config, clock)
+    shared: List[regions.SharedRegion] = []
     try:
         for spec in config.clients:
             rc = spec.region_config()
             region = regions.create_region(
                 regions.region_name(session_name, spec.name),
                 shm.required_region_size(rc))
+            shared.append(region)
             shm.encode_header(rc, region.buf)
             shm.publish(region.buf)
-            shared[spec.name] = region
-            desc = server.register_client(region.buf, spec.placement,
-                                          spec.min_fps,
-                                          pixel_buf=region.readonly_buf)
-            ids[desc.id] = spec.name
-
-        violations: List[str] = []
+            server.register(spec, region.buf, pixel_buf=region.readonly_buf)
         start = clock.now_us()
-        end = start + duration_us
-        compose_period = int(1e6 / config.target.rate)
-        presented: Dict[str, int] = {s.name: 0 for s in config.clients}
-        next_tick = start + compose_period
-        while next_tick <= end:
-            clock.sleep_us(max(0, next_tick - clock.now_us()))
-            now = clock.now_us()
-            server.check_watchdogs(now)
-            try:
-                rep = server.compose_once(now)
-                for cr in rep.clients:
-                    if cr.outcome == "new":
-                        presented[ids[cr.client_id]] += 1
-            except FramebufferError as exc:
-                violations.append(f"compose failed: {exc}")
-            server.check_framerates(now)
-            # Missed ticks are dropped, not replayed: a slow compose must
-            # never build a backlog that outlives the run.
-            next_tick += compose_period
-            behind = clock.now_us()
-            if next_tick < behind:
-                next_tick = behind
-
-        index_path = None
-        if isinstance(sink, sinks.ImageSequenceSink):
-            index_path = str(sink.close())
-        out = {
-            "server_frames": server.frames_presented,
-            "presented": presented,
-            "events": [{"t_us": e.t_us - start, "client": ids.get(e.client_id),
-                        "reason": e.reason} for e in server.events],
-            "violations": violations,
-            "index_path": index_path,
-            "checksums": sink.checksums() if isinstance(sink, sinks.ChecksumSink) else [],
-        }
-        Path(result_dir, "server.json").write_text(json.dumps(out))
+        _run_loop(clock, start + int(config.run.duration_s * 1e6),
+                  server.steps(start))
+        Path(result_dir, "server.json").write_text(json.dumps(server.result()))
     finally:
-        for region in shared.values():
+        for region in shared:
             region.close()
             region.unlink()
-
-
-def _request_batch_slice(slice_ns: int = 25_000_000) -> None:
-    """Ask the scheduler for batch policy with a long timeslice.
-
-    Render partitions are throughput-oriented: on a busy host, long
-    slices keep each client's working set in cache instead of thrashing
-    it on every preemption. Best effort — silently skipped where the
-    sched_setattr syscall or the slice request is unavailable.
-    """
-    if platform.system() != "Linux":
-        return
-    try:
-        import ctypes
-
-        class _SchedAttr(ctypes.Structure):
-            _fields_ = [
-                ("size", ctypes.c_uint32), ("sched_policy", ctypes.c_uint32),
-                ("sched_flags", ctypes.c_uint64), ("sched_nice", ctypes.c_int32),
-                ("sched_priority", ctypes.c_uint32),
-                ("sched_runtime", ctypes.c_uint64),
-                ("sched_deadline", ctypes.c_uint64),
-                ("sched_period", ctypes.c_uint64),
-            ]
-
-        nr_sched_setattr = {"x86_64": 314, "aarch64": 274}.get(platform.machine())
-        if nr_sched_setattr is None:
-            return
-        batch = 3  # SCHED_BATCH
-        attr = _SchedAttr(ctypes.sizeof(_SchedAttr), batch, 0, 0, 0,
-                          slice_ns, 0, 0)
-        ctypes.CDLL(None, use_errno=True).syscall(
-            nr_sched_setattr, 0, ctypes.byref(attr), 0)
-    except OSError:
-        pass
 
 
 def _client_main(config_text: str, name: str, session_name: str,
                  result_dir: str) -> None:
     config = parse_scenario(config_text)
     spec = next(c for c in config.clients if c.name == name)
-    _request_batch_slice()
     clock = WallClock()
     attach_deadline = clock.now_us() + 5_000_000
     while not regions.region_exists(regions.region_name(session_name, name)):
@@ -553,44 +546,19 @@ def _client_main(config_text: str, name: str, session_name: str,
         clock.sleep_us(1000)
     region = regions.open_region(regions.region_name(session_name, name))
     session = connect_session(region.buf, clock, attach_timeout_us=5_000_000)
-
-    fstate = _FaultState(spec)
-    submitted = skipped = 0
-    frame_index = 0
     start = clock.now_us()
-    end = start + int(config.run.duration_s * 1e6)
-    next_frame = start
-    while clock.now_us() < end:
-        clock.sleep_us(max(0, next_frame - clock.now_us()))
-        now = clock.now_us()
-        t_s = (now - start) / 1e6
-        if fstate.crashed(t_s):
-            os._exit(17)  # simulated hard crash: no result file
-        if fstate.garbage_due(t_s):
-            _scribble_header(region.buf)
-        fps = fstate.fps_at(t_s, spec.fps)
-        next_frame = now + max(1, int(1e6 / fps))
-        if fstate.stalled(t_s):
-            continue
-        try:
-            if _render(session, spec, t_s, frame_index):
-                submitted += 1
-                frame_index += 1
-            else:
-                skipped += 1
-        except FramebufferError:
-            break
-    Path(result_dir, f"client-{name}.json").write_text(
-        json.dumps({"submitted": submitted, "skipped": skipped}))
+    partition = _Partition(spec, session, region.buf, clock, start)
+    _run_loop(clock, start + int(config.run.duration_s * 1e6),
+              [(start, 2, name, partition.step)])
+    if partition.out["exit_status"] == "crashed":
+        os._exit(17)  # simulated hard crash: no result file
+    Path(result_dir, f"client-{name}.json").write_text(json.dumps(partition.out))
 
 
 def _run_wall(config: ScenarioConfig) -> ScenarioReport:
     session_name = config.run.session or uuid.uuid4().hex[:12]
     config = replace(config, run=replace(config.run, session=session_name))
     text = config.serialize()
-    duration_us = int(config.run.duration_s * 1e6)
-    report = ScenarioReport(duration_us=duration_us, clock="wall",
-                            sink=config.run.sink, sink_dir=config.run.sink_dir)
     ctx = multiprocessing.get_context("fork")
     with tempfile.TemporaryDirectory(prefix="fbcomp-run-") as result_dir:
         server = ctx.Process(target=_server_main,
@@ -603,48 +571,30 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
             p.start()
             clients[spec.name] = p
 
-        timeout = config.run.duration_s + 15
-        server.join(timeout)
-        if server.is_alive():
+        server.join(config.run.duration_s + 15)
+        late = server.is_alive()
+        if late:
             server.terminate()
             server.join()
-            report.violations.append("server did not finish in time")
-        for name, p in clients.items():
+        for p in clients.values():
             p.join(5)
             if p.is_alive():
                 p.terminate()
                 p.join()
 
         server_json = Path(result_dir, "server.json")
-        if server_json.exists():
-            data = json.loads(server_json.read_text())
-            report.server_frames = data["server_frames"]
-            report.violations.extend(data["violations"])
-            report.index_path = data.get("index_path")
-            report.checksums = data.get("checksums", [])
-            for spec in config.clients:
-                res = ClientResult(spec.name)
-                res.presented = data["presented"].get(spec.name, 0)
-                for e in data["events"]:
-                    if e["client"] == spec.name and res.disconnect is None:
-                        res.disconnect = (e["t_us"], e["reason"])
-                report.clients[spec.name] = res
-        else:
-            report.violations.append("server produced no report")
-            for spec in config.clients:
-                report.clients[spec.name] = ClientResult(spec.name)
-
+        result = (json.loads(server_json.read_text()) if server_json.exists()
+                  else _NO_SERVER_RESULT)
+        outs = {}
         for spec in config.clients:
             cj = Path(result_dir, f"client-{spec.name}.json")
-            res = report.clients[spec.name]
             if cj.exists():
-                data = json.loads(cj.read_text())
-                res.submitted = data["submitted"]
-                res.skipped = data["skipped"]
-            else:
-                res.exit_status = "crashed"
+                outs[spec.name] = json.loads(cj.read_text())
     for spec in config.clients:
         regions.unlink_region(regions.region_name(session_name, spec.name))
+    report = _build_report(config, result, outs)
+    if late:
+        report.violations.insert(0, "server did not finish in time")
     return report
 
 

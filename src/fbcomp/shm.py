@@ -304,16 +304,13 @@ def validate_region(region) -> List[str]:
     return violations
 
 
-def producer_queue(region, h: HeaderFields, fmt: PixelFormat) -> FrameQueue:
-    geometry = SurfaceGeometry(h.width, h.height, h.pitch)
-    return FrameQueue(region, status_offset=h.frame_offset,
-                      data_offset=h.frame_data_offset,
-                      frame_stride=_frame_stride(h),
-                      depth=h.frame_count, geometry=geometry, fmt=fmt)
+def queue_view(region, h: HeaderFields, fmt: PixelFormat,
+               pixel_buf=None) -> FrameQueue:
+    """Frame queue over a region's status records and frame data.
 
-
-def consumer_queue(region, h: HeaderFields, fmt: PixelFormat,
-                   pixel_buf=None) -> FrameQueue:
+    Either end of the protocol builds its queue this way; `pixel_buf`
+    optionally supplies a separate (e.g. read-only) mapping for pixels.
+    """
     geometry = SurfaceGeometry(h.width, h.height, h.pitch)
     return FrameQueue(region, status_offset=h.frame_offset,
                       data_offset=h.frame_data_offset,
@@ -361,7 +358,7 @@ def client_attach(region, *, clock: Optional[Clock] = None,
         format=fmt, framerate=h.framerate, timeout_us=h.timeout_us,
         queue_depth=h.frame_count,
     )
-    return context, producer_queue(buf, h, fmt), h
+    return context, queue_view(buf, h, fmt), h
 
 
 # -- private-area accessors -----------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from fbcomp import shm
+from fbcomp import compositor, shm
 from fbcomp.client import connect_session
 from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
@@ -339,3 +339,21 @@ class TestIsolationUnit:
         rep = server.compose_once(clock.now_us())
         assert rep.clients[0].outcome == "disconnected"
         assert server.frames_presented == 1
+
+    def test_server_bug_propagates_instead_of_disconnecting(self, monkeypatch):
+        # Only protocol and region failures are blamed on the client; an
+        # unexpected error in the server's own code must surface.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        a_buf, a = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+
+        def broken_blit(*args, **kwargs):
+            raise RuntimeError("server bug")
+
+        monkeypatch.setattr(compositor, "blit", broken_blit)
+        with pytest.raises(RuntimeError, match="server bug"):
+            server.compose_once(clock.now_us())
+        assert da.state is ClientState.ACTIVE
+        assert server.events == []

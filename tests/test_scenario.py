@@ -1,3 +1,7 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +10,8 @@ from fbcomp import regions, shm
 from fbcomp.pixel import PixelFormat
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
                              TargetSpec, parse_scenario, run_scenario)
+
+from test_acceptance import _containment_config
 
 
 def two_client_config(duration_s=1.0, clock="sim", sink="checksum", **kw):
@@ -128,6 +134,41 @@ class TestSimEngine:
         assert alpha.disconnect is not None and alpha.disconnect[1] == "low-fps"
         assert report.clients["beta"].disconnect is None
 
+    # Recorded from the engine before both engines shared one event loop:
+    # (server_frames, {client: (presented, submitted, disconnect)},
+    # sha256 of the JSON checksum list). Pattern clients only, so no
+    # floating-point rendering is involved; this pins the event order.
+    GOLDEN = {
+        None: (90, {"a": (90, 145, None), "b": (90, 145, None)},
+               "5af8ddf4d2b9e5dfb4ee287e49c7e6c42e274aa4c65ac8c41bc12ab76f4812dd"),
+        "stall": (90, {"a": (30, 49, (1510000, "watchdog")),
+                       "b": (90, 145, None)},
+                  "6ef9cadd9b2a20870a4afad35f2f417a735c98b0a1de95b0fb7f390745e45b79"),
+        "crash": (90, {"a": (30, 49, (1510000, "watchdog")),
+                       "b": (90, 145, None)},
+                  "6ef9cadd9b2a20870a4afad35f2f417a735c98b0a1de95b0fb7f390745e45b79"),
+        "garbage-header": (90, {"a": (30, 50, (1033323, "fault")),
+                                "b": (90, 145, None)},
+                           "87e57c82f2cc17ea42e685d5848b434cc3a22255512d018819ad4ee146a97f2d"),
+        "slow-to": (90, {"a": (46, 65, (2566641, "low-fps")),
+                         "b": (90, 145, None)},
+                    "2fd04c52e2f601c3af88d4567047b9c329a28969ba62dc606c17f0ba603e0293"),
+    }
+
+    @pytest.mark.parametrize("fault", list(GOLDEN))
+    def test_golden_containment_runs(self, fault):
+        actions = {"stall": FaultAction("stall", 1.0),
+                   "crash": FaultAction("crash", 1.0),
+                   "garbage-header": FaultAction("garbage-header", 1.0),
+                   "slow-to": FaultAction("slow-to", 1.0, fps=10.0)}
+        report = run_scenario(_containment_config(actions.get(fault)))
+        frames, clients, digest = self.GOLDEN[fault]
+        assert report.server_frames == frames
+        assert {name: (c.presented, c.submitted, c.disconnect)
+                for name, c in report.clients.items()} == clients
+        assert hashlib.sha256(
+            json.dumps(report.checksums).encode()).hexdigest() == digest
+
     def test_image_sink_produces_replayable_index(self, tmp_path):
         config = two_client_config(duration_s=0.2, sink="images",
                                    sink_dir=str(tmp_path))
@@ -163,6 +204,34 @@ class TestWallEngine:
         beta = report.clients["beta"]
         assert beta.exit_status == "ok" and beta.disconnect is None
         assert beta.submitted > 0
+
+    def test_watchdog_polled_between_compose_ticks(self):
+        # A 5 Hz compose must not quantize watchdog decisions to 200 ms:
+        # the crash at 0.3 s plus the 0.3 s timeout fires at about 0.6 s.
+        config = two_client_config(
+            duration_s=1.2, clock="wall", sink="null",
+            a={"timeout_s": 0.3, "faults": (FaultAction("crash", 0.3),)},
+            b={"timeout_s": 0.3})
+        config = replace(config, target=replace(config.target, rate=5.0))
+        report = run_scenario(config)
+        assert report.ok, report.violations
+        alpha = report.clients["alpha"]
+        assert alpha.exit_status == "crashed"
+        assert alpha.disconnect is not None
+        t_us, reason = alpha.disconnect
+        assert reason == "watchdog"
+        assert t_us < 700_000
+
+    def test_disconnected_client_reports_lost(self):
+        config = two_client_config(
+            duration_s=1.0, clock="wall", sink="null",
+            a={"faults": (FaultAction("garbage-header", 0.3),)})
+        report = run_scenario(config)
+        assert report.ok, report.violations
+        alpha = report.clients["alpha"]
+        assert alpha.disconnect is not None
+        assert alpha.exit_status == "lost"
+        assert report.clients["beta"].exit_status == "ok"
 
 
 class TestSharedRegions:

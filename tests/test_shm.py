@@ -149,7 +149,7 @@ class TestAttach:
         h.surface.fill(0xAABBCCDD)
         queue.submit_frame(h)
         header = shm.read_header(buf)
-        consumer = shm.consumer_queue(buf, header, PixelFormat.R8G8B8A8)
+        consumer = shm.queue_view(buf, header, PixelFormat.R8G8B8A8)
         t = consumer.take_for_display(QueueMode.ORDERED)
         assert t.sequence == 1
         assert int.from_bytes(bytes(t.surface.pixels()[0, 0]), "little") == 0xAABBCCDD
