@@ -3,6 +3,11 @@
 A session is confined to one task. The watchdog poller may run
 concurrently in the same process; it synchronizes with end_frame only
 through the deadline field (end_frame writes, the poller reads).
+
+The server's watchdog observes the heartbeat counter in the region.
+end_frame advances it, and so does a begin that finds no FREE slot: a
+client blocked on a compositor that has not yet drained its queue is
+still alive.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ class ClientSession:
         """Acquire a writable frame, waiting up to one frame period.
 
         Returns None when no slot freed up within the period (the caller
-        skips this frame). Polls at a quarter of the frame period.
+        skips this frame) and advances the heartbeat. Polls at a quarter
+        of the frame period.
         """
         if self._open is not None:
             raise UsageError("begin_frame while a frame is already open")
@@ -80,22 +86,29 @@ class ClientSession:
                 return handle.surface
             remaining = deadline - self.clock.now_us()
             if remaining <= 0:
+                self.heartbeat()
                 return None
             self.clock.sleep_us(min(poll, remaining))
 
     def try_begin_frame(self) -> Optional[Surface]:
-        """Non-blocking begin_frame: None immediately when no slot is FREE."""
+        """Non-blocking begin_frame: None immediately when no slot is FREE,
+        after advancing the heartbeat."""
         if self._open is not None:
             raise UsageError("begin_frame while a frame is already open")
         self._check_connected()
         handle = self.queue.acquire_frame()
         if handle is None:
+            self.heartbeat()
             return None
         self._open = handle
         return handle.surface
 
     def end_frame(self) -> None:
-        """Submit the open frame, reset the watchdog, bump the heartbeat."""
+        """Submit the open frame, reset the watchdog, bump the heartbeat.
+
+        The heartbeat also advances on a begin that finds the queue full;
+        the session's own watchdog resets only here, on a completed frame.
+        """
         if self._open is None:
             raise UsageError("end_frame without an open frame")
         handle, self._open = self._open, None

@@ -3,7 +3,9 @@
 Registers clients, composes their newest frames onto the target at fixed
 non-overlapping placements, enforces watchdog and minimum-framerate
 policies, paints a visible indicator over disconnected clients, and
-presents the target through an output sink.
+presents the target through an output sink. The indicator is rendered
+once per client size, the first time a client of that size is painted,
+and copied from that tile after.
 
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
@@ -16,7 +18,7 @@ import enum
 from struct import error as struct_error
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,6 +117,8 @@ class CompositorServer:
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
         self._next_id = 1
+        # (width, height) -> indicator tile in the target's format
+        self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -150,11 +154,14 @@ class CompositorServer:
             self._next_id = max(self._next_id, client_id + 1)
         now = self.clock.now_us()
         fmt = self._client_format(region, header)
+        queue = shm.queue_view(region, header, fmt, pixel_buf=pixel_buf)
         desc = ClientDescriptor(
             id=client_id, region=memoryview(region), header=header,
-            queue=shm.queue_view(region, header, fmt, pixel_buf=pixel_buf),
-            placement=placement, format=fmt,
+            queue=queue, placement=placement, format=fmt,
             min_fps=min_fps, timeout_us=header.timeout_us,
+            # Sequences never reset, so a reconnected region's first take
+            # counts only what was submitted after this point.
+            last_frame_seq=max(queue.sequence(i) for i in range(queue.depth)),
             deadline_us=now + header.timeout_us,
             last_heartbeat=shm.read_heartbeat(region, header),
             connected_at_us=now,
@@ -294,7 +301,11 @@ class CompositorServer:
             raise ValueError("client header lost its magic")
         handle = desc.queue.take_for_display(QueueMode.FLUSH)
         if handle is not None:
-            submitted = handle.sequence - desc.last_frame_seq
+            # The client writes the sequence: between two takes it can
+            # have submitted at most one frame per slot, and never fewer
+            # than none.
+            submitted = min(max(handle.sequence - desc.last_frame_seq, 0),
+                            desc.queue.depth)
             desc.fps_window.append((now, submitted))
             desc.last_frame_seq = handle.sequence
             if desc.held is not None:
@@ -309,16 +320,25 @@ class CompositorServer:
 
     def _paint_indicator(self, placement: Rect) -> None:
         """Diagonal crosshatch in a warning color over the placement."""
-        fmt = self.target.format
-        px = self.target.surface.pixels()[
+        self.target.surface.pixels()[
             placement.y:placement.y + placement.height,
-            placement.x:placement.x + placement.width, :]
-        fill = np.frombuffer(pack_channels(fmt, *INDICATOR_FILL).to_bytes(4, "little"),
-                             np.uint8)
-        line = np.frombuffer(pack_channels(fmt, *INDICATOR_COLOR).to_bytes(4, "little"),
-                             np.uint8)
-        px[:] = fill
-        yy, xx = np.mgrid[0:placement.height, 0:placement.width]
-        mask = (((xx + yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS) | \
-               (((xx - yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS)
-        px[mask] = line
+            placement.x:placement.x + placement.width, :] = \
+            self._indicator_tile(placement.width, placement.height)
+
+    def _indicator_tile(self, width: int, height: int) -> np.ndarray:
+        """The crosshatch for a width x height placement, anchored at its
+        top-left corner, so one tile serves every placement of that size."""
+        tile = self._indicator_tiles.get((width, height))
+        if tile is None:
+            fmt = self.target.format
+            tile = np.empty((height, width, 4), np.uint8)
+            tile[:] = np.frombuffer(
+                pack_channels(fmt, *INDICATOR_FILL).to_bytes(4, "little"), np.uint8)
+            yy, xx = np.mgrid[0:height, 0:width]
+            mask = (((xx + yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS) | \
+                   (((xx - yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS)
+            tile[mask] = np.frombuffer(
+                pack_channels(fmt, *INDICATOR_COLOR).to_bytes(4, "little"), np.uint8)
+            tile.flags.writeable = False
+            self._indicator_tiles[(width, height)] = tile
+        return tile

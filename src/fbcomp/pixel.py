@@ -198,6 +198,10 @@ class Surface:
         """(height, width, 4) uint8 view in the surface's own byte order."""
         return self._px
 
+    def buffer(self) -> np.ndarray:
+        """Flat uint8 view of the surface's bytes, row padding included."""
+        return self._raw
+
     def fill(self, pixel: int) -> None:
         pixel &= 0xFFFFFFFF
         try:
@@ -236,5 +240,13 @@ def blit(src: Surface, dst: Surface, at: Rect) -> None:
                          f"{dst.geometry.width}x{dst.geometry.height}")
     if not dst.writable:
         raise FramebufferError("destination surface is read-only")
-    block = src.as_format(dst.format)
-    dst.pixels()[at.y:at.y + at.height, at.x:at.x + at.width, :] = block
+    perm = channel_permutation(src.format, dst.format)
+    src_px = src.pixels()
+    out = dst.pixels()[at.y:at.y + at.height, at.x:at.x + at.width, :]
+    if perm == (0, 1, 2, 3):
+        out[:] = src_px
+    else:
+        # One strided copy per channel; a fancy-index gather would
+        # materialise the whole converted block first.
+        for i, p in enumerate(perm):
+            out[..., i] = src_px[..., p]

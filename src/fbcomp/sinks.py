@@ -14,11 +14,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .pixel import PixelFormat, Surface
+from .pixel import BYTES_PER_PIXEL, PixelFormat, Surface
 
 
 def frame_checksum(surface: Surface) -> int:
-    return zlib.crc32(surface.tight_bytes(PixelFormat.R8G8B8A8)) & 0xFFFFFFFF
+    g = surface.geometry
+    if surface.format == PixelFormat.R8G8B8A8 and g.pitch == g.width * BYTES_PER_PIXEL:
+        data = surface.buffer()   # already tight and normalized: no copy
+    else:
+        data = surface.tight_bytes(PixelFormat.R8G8B8A8)
+    return zlib.crc32(data) & 0xFFFFFFFF
 
 
 class NullSink:

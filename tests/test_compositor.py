@@ -1,12 +1,16 @@
+import struct
+
+import numpy as np
 import pytest
 
 from fbcomp import compositor, shm
 from fbcomp.client import connect_session
 from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
-                               INDICATOR_COLOR)
+                               INDICATOR_COLOR, INDICATOR_FILL)
 from fbcomp.errors import (AlreadyConnected, ClientNotFound, PlacementConflict,
                            SessionLost)
+from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
 from fbcomp.pixel import (PixelFormat, Rect, SurfaceGeometry, compute_pitch,
                           pack_channels)
 from fbcomp.sinks import ChecksumSink, frame_checksum
@@ -34,6 +38,29 @@ def make_client(clock, width=64, height=64, fmt=PixelFormat.R8G8B8A8,
     buf, _ = shm.create_region(config)
     shm.publish(buf)
     return buf, connect_session(buf, clock)
+
+
+def forge_ready_sequence(buf, session, sequence):
+    """Overwrite the sequence of the client's READY slot, as a client may."""
+    header = shm.read_header(buf)
+    (index,) = [i for i, st in enumerate(session.queue.statuses())
+                if st is FrameState.READY]
+    struct.pack_into("<Q", buf,
+                     header.frame_offset + index * STATUS_RECORD_SIZE + 8, sequence)
+
+
+def old_crosshatch(fmt, width, height):
+    """Reference crosshatch from a per-pixel mask, as compose drew it on every tick."""
+    fill = np.frombuffer(pack_channels(fmt, *INDICATOR_FILL).to_bytes(4, "little"),
+                         np.uint8)
+    line = np.frombuffer(pack_channels(fmt, *INDICATOR_COLOR).to_bytes(4, "little"),
+                         np.uint8)
+    px = np.empty((height, width, 4), np.uint8)
+    px[:] = fill
+    yy, xx = np.mgrid[0:height, 0:width]
+    mask = (((xx + yy) % 16) < 2) | (((xx - yy) % 16) < 2)
+    px[mask] = line
+    return px
 
 
 def submit(session, index):
@@ -197,23 +224,29 @@ class TestWatchdog:
 
 class TestFramerate:
     def _client_with_rate(self, fps, min_fps, duration_s=4.0):
+        return self._run_with_rate(fps, min_fps, duration_s)[1]
+
+    def _run_with_rate(self, fps, min_fps, duration_s=4.0, forge_step=0):
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, timeout_us=10_000_000)
         desc = server.register_client(buf, Rect(0, 0, 64, 64), min_fps)
         period = int(1e6 / fps)
-        t = 0
+        t = forged = 0
         while t < duration_s * 1e6:
             t += period
             clock.advance_to(t)
             try:
                 if a.try_begin_frame() is not None:
                     a.end_frame()
+                    if forge_step:
+                        forged += forge_step
+                        forge_ready_sequence(buf, a, forged)
             except SessionLost:
                 pass  # server already cut this client loose
             server.compose_once(t)
             server.check_framerates(t)
-        return desc
+        return server, desc
 
     def test_48fps_client_with_min_30_kept(self):
         desc = self._client_with_rate(48, 30)
@@ -227,6 +260,45 @@ class TestFramerate:
         # threshold is strict "below": exactly min_fps stays connected
         desc = self._client_with_rate(25, 25)
         assert desc.state is ClientState.ACTIVE
+
+    def test_forged_sequence_jump_still_low_fps(self):
+        # Each frame claims 10**9 more sequences than the last. The server
+        # counts at most `depth` frames per take, so a 5 fps client with a
+        # depth-3 queue shows at most 15 fps and stays below 30.
+        server, desc = self._run_with_rate(5, 30, forge_step=10**9)
+        assert desc.state is ClientState.DISCONNECTED
+        assert [e.reason for e in server.events] == ["low-fps"]
+
+    def test_backwards_sequence_adds_nothing(self):
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
+        submit(a, 1)
+        submit(a, 2)
+        server.compose_once(clock.now_us())
+        assert desc.fps_window[-1][1] == 2
+        submit(a, 3)
+        forge_ready_sequence(buf, a, 1)
+        server.compose_once(clock.now_us())
+        assert desc.fps_window[-1][1] == 0
+
+    def test_reconnect_first_take_counts_at_most_depth(self):
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock, depth=3)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
+        for i in range(20):
+            submit(a, i)
+            server.compose_once(clock.now_us())
+        assert desc.last_frame_seq == 20
+        server.disconnect(desc, "watchdog")
+        # The same region comes back, still holding sequence 20.
+        shm.write_detach_flag(buf, shm.read_header(buf), 0)
+        fresh = server.reconnect_client(desc.id, buf)
+        submit(a, 21)
+        server.compose_once(clock.now_us())
+        assert 0 <= fresh.fps_window[-1][1] <= a.queue.depth
 
 
 class TestReconnect:
@@ -357,3 +429,46 @@ class TestIsolationUnit:
             server.compose_once(clock.now_us())
         assert da.state is ClientState.ACTIVE
         assert server.events == []
+
+
+class TestIndicator:
+    SIZE = (37, 23)   # not a multiple of the 16-pixel hatch spacing
+
+    @pytest.mark.parametrize("fmt", list(PixelFormat))
+    def test_cached_tile_matches_per_tick_crosshatch(self, fmt):
+        width, height = self.SIZE
+        geometry = SurfaceGeometry(200, 120, compute_pitch(200, fmt))
+        server = CompositorServer(CompositionTarget(geometry, fmt), ChecksumSink(),
+                                  SimClock())
+        expected = old_crosshatch(fmt, width, height)
+        px = server.target.surface.pixels()
+        for x, y in [(0, 0), (101, 53)]:
+            server._paint_indicator(Rect(x, y, width, height))
+            assert px[y:y + height, x:x + width].tobytes() == expected.tobytes()
+        assert len(server._indicator_tiles) == 1
+
+    def test_two_disconnected_clients_of_one_size(self):
+        width, height = self.SIZE
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        placements = [Rect(3, 5, width, height), Rect(150, 77, width, height)]
+        descs = []
+        for rect in placements:
+            buf, _ = make_client(clock, width, height)
+            descs.append(server.register_client(buf, rect, 1))
+        server.compose_once(clock.now_us())
+        for desc in descs:
+            server.disconnect(desc, "watchdog")
+        rep = server.compose_once(clock.now_us())
+        assert [r.outcome for r in rep.clients] == ["disconnected"] * 2
+        expected = old_crosshatch(PixelFormat.R8G8B8A8, width, height).tobytes()
+        px = server.target.surface.pixels()
+        for rect in placements:
+            assert px[rect.y:rect.y + height, rect.x:rect.x + width].tobytes() \
+                == expected
+        # Outside the placements the background is untouched.
+        mask = np.ones(px.shape[:2], bool)
+        for rect in placements:
+            mask[rect.y:rect.y + height, rect.x:rect.x + width] = False
+        background = pack_channels(PixelFormat.R8G8B8A8, 0x10, 0x10, 0x10, 0xFF)
+        assert (px[mask].view("<u4") == background).all()

@@ -144,6 +144,21 @@ class TestBlit:
         _naive_blit(src, dst_b, at)
         assert dst_a._raw.tobytes() == dst_b._raw.tobytes()
 
+    @pytest.mark.parametrize("src_fmt,dst_fmt",
+                             list(itertools.product(FORMATS, FORMATS)))
+    def test_matches_naive_oracle_every_format_pair(self, src_fmt, dst_fmt):
+        # All 12 converting pairs and the 4 identities, at a non-zero
+        # offset into a padded destination; pixels outside the rectangle
+        # and the row padding must not change.
+        rng = np.random.default_rng(int(src_fmt) * 4 + int(dst_fmt))
+        src = _random_surface(rng, 11, 6, src_fmt, extra_pitch=4)
+        dst_a = _random_surface(rng, 19, 13, dst_fmt, extra_pitch=20)
+        dst_b = Surface(bytearray(dst_a._raw.tobytes()), dst_a.geometry, dst_a.format)
+        at = Rect(7, 5, 11, 6)
+        blit(src, dst_a, at)
+        _naive_blit(src, dst_b, at)
+        assert dst_a._raw.tobytes() == dst_b._raw.tobytes()
+
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         src = _random_surface(rng, 10, 10, PixelFormat.R8G8B8A8)

@@ -102,6 +102,19 @@ class TestSimEngine:
         beta = report.clients["beta"]
         assert beta.disconnect is None and beta.presented >= 40
 
+    def test_full_queue_keeps_heartbeat(self):
+        # Compose every 0.5 s drains the queue less often than the 0.3 s
+        # watchdog budget: a healthy 48 fps client spends most of each
+        # period on a full queue and must stay connected.
+        config = two_client_config(duration_s=2.0,
+                                   a={"timeout_s": 0.3}, b={"timeout_s": 0.3})
+        config = replace(config, target=replace(config.target, rate=2.0))
+        report = run_scenario(config)
+        for result in report.clients.values():
+            assert result.disconnect is None
+            assert result.exit_status == "ok"
+            assert result.skipped > 0
+
     def test_crash_fault(self):
         config = two_client_config(
             duration_s=1.5,
