@@ -7,6 +7,14 @@ presents the target through an output sink. The indicator is rendered
 once per client size, the first time a client of that size is painted,
 and copied from that tile after.
 
+Composition is damage-tracked: each tick repaints only the placements
+whose content changed since the previous tick (a new take, a frame
+replaced by the indicator or by nothing) and records the changed rows on
+the target as `Surface.damage`, so a sink can skip the rest. That relies
+on the compositor being the only writer of its target surface: anything
+else that writes into it must not expect its pixels to survive or be
+presented.
+
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
 no lock.
@@ -36,6 +44,7 @@ INDICATOR_COLOR = (255, 176, 0, 255)     # warning amber
 INDICATOR_FILL = (48, 16, 16, 255)
 _INDICATOR_SPACING = 16
 _INDICATOR_THICKNESS = 2
+_INDICATOR = "indicator"   # what a disconnected client's placement shows
 
 
 class ClientState(enum.Enum):
@@ -48,6 +57,7 @@ class DisconnectEvent:
     t_us: int
     client_id: int
     reason: str  # "watchdog" | "low-fps" | "fault" | "corrupt-header"
+    detail: str = ""  # for "fault": the text of the error behind it
 
 
 @dataclass
@@ -101,8 +111,14 @@ class CompositionTarget:
         v = self.background & 0xFFFFFFFF
         return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
 
-    def clear(self) -> None:
-        self.surface.fill(self._bg_native)
+    def clear(self, area: Optional[Rect] = None) -> None:
+        """Fill the whole surface, or only `area`, with the background."""
+        if area is None:
+            self.surface.fill(self._bg_native)
+        else:
+            self.surface.pixels()[area.y:area.y + area.height,
+                                  area.x:area.x + area.width] = \
+                np.frombuffer(self._bg_native.to_bytes(4, "little"), np.uint8)
 
 
 class CompositorServer:
@@ -119,6 +135,11 @@ class CompositorServer:
         self._next_id = 1
         # (width, height) -> indicator tile in the target's format
         self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
+        # client id -> what its placement showed at the last present: a
+        # frame's surface, _INDICATOR or None. None here forces a full
+        # repaint on the next tick.
+        self._shown: Optional[Dict[int, object]] = None
+        self._overlap = False     # do any two placements overlap?
 
     # -- registration ------------------------------------------------------
 
@@ -197,16 +218,28 @@ class CompositorServer:
     # -- fault policies ----------------------------------------------------
 
     def disconnect(self, desc: ClientDescriptor, reason: str,
-                   now_us: Optional[int] = None) -> DisconnectEvent:
-        """Forcibly detach: stop reading the region, make it visible."""
+                   now_us: Optional[int] = None,
+                   detail: str = "") -> DisconnectEvent:
+        """Forcibly detach: stop reading the region, make it visible.
+
+        The held slot goes back to FREE, so a client reconnected over the
+        same region starts with its whole queue.
+        """
         desc.state = ClientState.DISCONNECTED
-        desc.held = None
+        held, desc.held = desc.held, None
+        # The region may be gone or corrupt; the indicator still shows.
+        if held is not None:
+            try:
+                desc.queue.release_frame(held)
+            except (FramebufferError, ValueError, struct_error, IndexError,
+                    TypeError):
+                pass  # also a slot status the client overwrote
         try:
             shm.write_detach_flag(desc.region, desc.header, 1)
         except (ValueError, struct_error, IndexError, TypeError):
-            pass  # region may be gone or corrupt; the indicator still shows
+            pass
         event = DisconnectEvent(self.clock.now_us() if now_us is None else now_us,
-                                desc.id, reason)
+                                desc.id, reason, detail)
         self.events.append(event)
         return event
 
@@ -269,32 +302,66 @@ class CompositorServer:
     def compose_once(self, now_us: Optional[int] = None) -> ComposeReport:
         """Build one output frame and present it.
 
-        A client whose region or frames fail the protocol is disconnected
-        and composition continues; an output-sink failure or a server bug
-        propagates.
+        Repaints only the placements whose content changed since the
+        previous present, and records their row span as the target's
+        `damage`. The first tick, a change in the set of clients, and
+        overlapping placements (a disconnected client's area reused)
+        repaint everything. A client whose region or frames fail the
+        protocol is disconnected and composition continues; an
+        output-sink failure or a server bug propagates.
         """
         now = self.clock.now_us() if now_us is None else now_us
-        self.target.clear()
         reports = []
+        sources = []
         for desc in sorted(self.clients.values(), key=lambda d: d.id):
+            source = _INDICATOR
             if desc.state is ClientState.DISCONNECTED:
-                self._paint_indicator(desc.placement)
-                reports.append(ClientReport(desc.id, "disconnected"))
-                continue
-            try:
-                reports.append(self._compose_client(desc, now))
-            except (FramebufferError, ValueError, IndexError, struct_error):
-                self.disconnect(desc, "fault", now)
-                self._paint_indicator(desc.placement)
-                reports.append(ClientReport(desc.id, "disconnected"))
+                report = ClientReport(desc.id, "disconnected")
+            else:
+                try:
+                    report, source = self._compose_client(desc, now)
+                except (FramebufferError, ValueError, IndexError,
+                        struct_error) as exc:
+                    self.disconnect(desc, "fault", now, detail=str(exc))
+                    report = ClientReport(desc.id, "disconnected")
+            reports.append(report)
+            sources.append((desc, source))
+
+        # Until this tick is presented, a failure leaves the next tick a
+        # full repaint.
+        shown, self._shown = self._shown, None
+        if shown is None or shown.keys() != self.clients.keys():
+            shown = None
+            placements = [d.placement for d in self.clients.values()]
+            self._overlap = any(a.overlaps(b) for i, a in enumerate(placements)
+                                for b in placements[i + 1:])
+        if shown is None or self._overlap:
+            self.target.clear()
+            for desc, source in sources:
+                if source is not None:
+                    self._paint(desc.placement, source)
+            damage = (0, self.target.geometry.height)
+        else:
+            y0, y1 = self.target.geometry.height, 0
+            for desc, source in sources:
+                if shown[desc.id] is not source:
+                    p = desc.placement
+                    self._paint(p, source)
+                    y0, y1 = min(y0, p.y), max(y1, p.y + p.height)
+            damage = (y0, y1) if y0 < y1 else (0, 0)
+        self.target.surface.damage = damage
         try:
             self.sink.present(self.target.surface, now)
         except Exception as exc:
             raise PresentFailure(str(exc)) from exc
+        self._shown = {desc.id: source for desc, source in sources}
         self.frames_presented += 1
         return ComposeReport(now, reports)
 
-    def _compose_client(self, desc: ClientDescriptor, now: int) -> ClientReport:
+    def _compose_client(self, desc: ClientDescriptor,
+                        now: int) -> Tuple[ClientReport, Optional[Surface]]:
+        """Take the client's newest frame; return the report and the
+        surface its placement should show (None: nothing yet)."""
         # A client scribbling over its own header must not survive as a
         # normal picture source.
         if shm.read_header(desc.region).magic != shm.MAGIC:
@@ -308,15 +375,24 @@ class CompositorServer:
                             desc.queue.depth)
             desc.fps_window.append((now, submitted))
             desc.last_frame_seq = handle.sequence
-            if desc.held is not None:
-                desc.queue.release_frame(desc.held)
-            desc.held = handle
-            blit(handle.surface, self.target.surface, desc.placement)
-            return ClientReport(desc.id, "new", handle.sequence)
+            # Hold the new frame before releasing the old one, so a failed
+            # release leaves disconnect() a slot to hand back.
+            old, desc.held = desc.held, handle
+            if old is not None:
+                desc.queue.release_frame(old)
+            return ClientReport(desc.id, "new", handle.sequence), handle.surface
         if desc.held is not None:
-            blit(desc.held.surface, self.target.surface, desc.placement)
-            return ClientReport(desc.id, "held", desc.held.sequence)
-        return ClientReport(desc.id, "empty")
+            return (ClientReport(desc.id, "held", desc.held.sequence),
+                    desc.held.surface)
+        return ClientReport(desc.id, "empty"), None
+
+    def _paint(self, placement: Rect, source) -> None:
+        if source is None:
+            self.target.clear(placement)
+        elif source is _INDICATOR:
+            self._paint_indicator(placement)
+        else:
+            blit(source, self.target.surface, placement)
 
     def _paint_indicator(self, placement: Rect) -> None:
         """Diagonal crosshatch in a warning color over the placement."""

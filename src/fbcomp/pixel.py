@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -173,6 +173,11 @@ class Surface:
 
     Wraps any buffer (bytearray, memoryview, mmap) without copying. The
     view is read-only iff the underlying buffer is.
+
+    `damage` is the row span `(y0, y1)` that changed since the surface
+    was last presented, set by its only writer just before it presents
+    (the compositor, for its target); `y0 == y1` means nothing changed.
+    The default None means unknown: all rows.
     """
 
     def __init__(self, buf, geometry: SurfaceGeometry, fmt: PixelFormat, offset: int = 0):
@@ -185,6 +190,7 @@ class Surface:
             raw, shape=(geometry.height, geometry.width, 4),
             strides=(geometry.pitch, 4, 1),
         )
+        self.damage: Optional[Tuple[int, int]] = None
 
     @classmethod
     def allocate(cls, geometry: SurfaceGeometry, fmt: PixelFormat) -> "Surface":

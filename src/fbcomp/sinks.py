@@ -3,6 +3,12 @@
 Frame checksums are CRC-32 over the tight pixel rows normalized to
 R8G8B8A8 byte order, so they are independent of pitch padding, surface
 format, and platform.
+
+`ChecksumSink` reads `Surface.damage`: handed the same tight R8G8B8A8
+surface twice, it CRCs only the changed rows and splices in cached CRCs
+of the rest. That is exact only while the damage names every changed
+row, which holds for the compositor's target because the compositor is
+its only writer.
 """
 
 from __future__ import annotations
@@ -10,20 +16,72 @@ from __future__ import annotations
 import os
 import zlib
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .pixel import BYTES_PER_PIXEL, PixelFormat, Surface
 
 
-def frame_checksum(surface: Surface) -> int:
+def _is_tight_rgba(surface: Surface) -> bool:
     g = surface.geometry
-    if surface.format == PixelFormat.R8G8B8A8 and g.pitch == g.width * BYTES_PER_PIXEL:
+    return (surface.format == PixelFormat.R8G8B8A8
+            and g.pitch == g.width * BYTES_PER_PIXEL)
+
+
+def frame_checksum(surface: Surface) -> int:
+    if _is_tight_rgba(surface):
         data = surface.buffer()   # already tight and normalized: no copy
     else:
         data = surface.tight_bytes(PixelFormat.R8G8B8A8)
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+# CRC-32 combination, as zlib's crc32_combine: polynomials over GF(2) in
+# zlib's bit-reflected form, so x^0 is 1 << 31 and x^1 is 1 << 30.
+_CRC_POLY = 0xEDB88320
+
+
+def _multmodp(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial."""
+    m = 1 << 31
+    p = 0
+    while m:
+        if a & m:
+            p ^= b
+            if a & (m - 1) == 0:
+                break
+        m >>= 1
+        b = (b >> 1) ^ _CRC_POLY if b & 1 else b >> 1
+    return p
+
+
+def _x2n_table() -> List[int]:
+    table, p = [], 1 << 30
+    for _ in range(32):
+        table.append(p)
+        p = _multmodp(p, p)
+    return table
+
+
+_X2N = _x2n_table()   # x^(2^k) modulo the polynomial, k = 0..31
+
+
+def _shift_op(nbytes: int) -> int:
+    """x^(8 * nbytes) modulo the polynomial: appending `nbytes` bytes
+    multiplies the CRC of what came before by this."""
+    p, k = 1 << 31, 3
+    while nbytes:
+        if nbytes & 1:
+            p = _multmodp(_X2N[k & 31], p)
+        nbytes >>= 1
+        k += 1
+    return p
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """CRC-32 of A + B from crc32(A), crc32(B) and len(B)."""
+    return _multmodp(_shift_op(len2), crc1) ^ crc2
 
 
 class NullSink:
@@ -37,13 +95,68 @@ class NullSink:
 
 
 class ChecksumSink:
-    """Records (timestamp, checksum) per presented frame."""
+    """Records (timestamp, checksum) per presented frame.
+
+    The checksum is always `frame_checksum`'s. For the last surface seen,
+    when it is tight R8G8B8A8 and carries a `damage` span, the sink
+    caches a band of rows with the CRC of the rows above it (running) and
+    of the rows below it (standalone). A present with no damage repeats
+    the last checksum; damage inside the band CRCs only the band and
+    shrinks it to the damage; any other damage costs one full pass that
+    re-caches at the new damage.
+    """
 
     def __init__(self):
         self.frames: List[Tuple[int, int]] = []
+        self._last: Optional[Surface] = None
+        self._crc = 0
+        self._band = (0, 0)       # rows [b0, b1) of _last
+        self._prefix = 0          # CRC of the rows above the band
+        self._suffix = 0          # CRC of the rows below it, on its own
+        self._suffix_len = 0      # and their length in bytes
+        # byte length -> _shift_op(length); lengths are whole rows of
+        # _last, so this holds at most its height + 1 entries.
+        self._ops: Dict[int, int] = {}
 
     def present(self, surface: Surface, now_us: int) -> None:
-        self.frames.append((now_us, frame_checksum(surface)))
+        self.frames.append((now_us, self._checksum(surface)))
+
+    def _checksum(self, surface: Surface) -> int:
+        damage = surface.damage
+        if damage is None or not _is_tight_rgba(surface):
+            self._last = None
+            return frame_checksum(surface)
+        height = surface.geometry.height
+        y0, y1 = damage
+        if not 0 <= y0 <= y1 <= height:
+            raise ValueError(f"damage {damage} outside rows 0..{height}")
+        same = surface is self._last
+        if same and y0 == y1:
+            return self._crc
+        b0, b1 = self._band
+        if same and b0 <= y0 and y1 <= b1:
+            prefix, suffix, suffix_len = self._prefix, self._suffix, self._suffix_len
+        else:
+            if not same:
+                self._ops.clear()
+            b0, b1, prefix, suffix, suffix_len = 0, height, 0, 0, 0
+        buf = surface.buffer()
+        pitch = surface.geometry.pitch
+        prefix = zlib.crc32(buf[b0 * pitch:y0 * pitch], prefix)
+        head = zlib.crc32(buf[y0 * pitch:y1 * pitch], prefix)
+        suffix = self._combine(zlib.crc32(buf[y1 * pitch:b1 * pitch]),
+                               suffix, suffix_len)
+        suffix_len += (b1 - y1) * pitch
+        self._crc = self._combine(head, suffix, suffix_len)
+        self._last, self._band = surface, (y0, y1)
+        self._prefix, self._suffix, self._suffix_len = prefix, suffix, suffix_len
+        return self._crc
+
+    def _combine(self, crc1: int, crc2: int, len2: int) -> int:
+        op = self._ops.get(len2)
+        if op is None:
+            op = self._ops[len2] = _shift_op(len2)
+        return _multmodp(op, crc1) ^ crc2
 
     @property
     def count(self) -> int:
@@ -53,13 +166,18 @@ class ChecksumSink:
         return [c for _, c in self.frames]
 
 
-def write_ppm(path, surface: Surface) -> None:
-    """Binary PPM (P6): RGB triples, alpha dropped. Bit-exact everywhere."""
+def write_ppm(path, surface: Surface) -> int:
+    """Binary PPM (P6): RGB triples, alpha dropped. Bit-exact everywhere.
+
+    Returns the CRC-32 of the bytes written.
+    """
     rgb = np.ascontiguousarray(surface.as_format(PixelFormat.R8G8B8A8)[..., :3])
     g = surface.geometry
+    header = b"P6\n%d %d\n255\n" % (g.width, g.height)
     with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (g.width, g.height))
-        f.write(rgb.tobytes())
+        f.write(header)
+        f.write(rgb)
+    return zlib.crc32(rgb, zlib.crc32(header))
 
 
 class ImageSequenceSink:
@@ -82,9 +200,7 @@ class ImageSequenceSink:
     def present(self, surface: Surface, now_us: int) -> None:
         self.count += 1
         name = f"frame_{self.count:06d}.ppm"
-        path = self.directory / name
-        write_ppm(path, surface)
-        self._index.append((name, zlib.crc32(path.read_bytes()) & 0xFFFFFFFF))
+        self._index.append((name, write_ppm(self.directory / name, surface)))
 
     def close(self) -> Path:
         index = self.directory / self.INDEX_NAME

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import numpy as np
@@ -11,8 +12,8 @@ from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
 from fbcomp.errors import (AlreadyConnected, ClientNotFound, PlacementConflict,
                            SessionLost)
 from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
-from fbcomp.pixel import (PixelFormat, Rect, SurfaceGeometry, compute_pitch,
-                          pack_channels)
+from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
+                          compute_pitch, pack_channels)
 from fbcomp.sinks import ChecksumSink, frame_checksum
 from fbcomp.widgets import render_pattern
 
@@ -361,6 +362,22 @@ class TestReconnect:
         server.compose_once(clock.now_us())
         assert sink.checksums()[-1] == live_checksum
 
+    def test_disconnect_releases_held_slot(self):
+        # A depth-1 client reconnected over the same region must get its
+        # only slot back, or it can never begin a frame again.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock, depth=1)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+        server.compose_once(clock.now_us())
+        assert a.queue.statuses() == (FrameState.DRAWING,)
+        server.disconnect(desc, "watchdog")
+        shm.write_detach_flag(buf, desc.header, 0)
+        server.reconnect_client(desc.id, buf)
+        assert a.queue.statuses() == (FrameState.FREE,)
+        assert a.try_begin_frame() is not None
+
 
 class TestPreservation:
     def test_last_frame_byte_identical_until_disconnect(self):
@@ -399,6 +416,8 @@ class TestIsolationUnit:
         assert da.state is ClientState.DISCONNECTED
         assert db.state is ClientState.ACTIVE
         assert sink.count == 1
+        (event,) = server.events
+        assert event.reason == "fault" and "magic" in event.detail
 
     def test_protocol_violation_in_client_region_contained(self):
         clock = SimClock()
@@ -411,6 +430,27 @@ class TestIsolationUnit:
         rep = server.compose_once(clock.now_us())
         assert rep.clients[0].outcome == "disconnected"
         assert server.frames_presented == 1
+
+    def test_overwritten_held_status_frees_the_new_take(self):
+        # The client rewrites its DRAWING slot's status, so releasing it
+        # fails after the next take: the taken slot must still go back.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock, depth=2)
+        da = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+        server.compose_once(clock.now_us())
+        (index,) = [i for i, st in enumerate(a.queue.statuses())
+                    if st is FrameState.DRAWING]
+        submit(a, 2)
+        header = shm.read_header(buf)
+        struct.pack_into("<I", buf, header.frame_offset + index * STATUS_RECORD_SIZE,
+                         int(FrameState.READY))
+        rep = server.compose_once(clock.now_us())
+        assert rep.clients[0].outcome == "disconnected"
+        assert server.events[0].reason == "fault"
+        assert da.held is None
+        assert a.queue.statuses() == (FrameState.FREE, FrameState.FREE)
 
     def test_server_bug_propagates_instead_of_disconnecting(self, monkeypatch):
         # Only protocol and region failures are blamed on the client; an
@@ -472,3 +512,128 @@ class TestIndicator:
             mask[rect.y:rect.y + height, rect.x:rect.x + width] = False
         background = pack_channels(PixelFormat.R8G8B8A8, 0x10, 0x10, 0x10, 0xFF)
         assert (px[mask].view("<u4") == background).all()
+
+
+def full_repaint(server):
+    """The target as a full repaint draws it: background, then every
+    client in id order."""
+    target = server.target
+    ref = Surface.allocate(target.geometry, target.format)
+    ref.fill(pack_channels(target.format, 0x10, 0x10, 0x10, 0xFF))
+    for desc in sorted(server.clients.values(), key=lambda d: d.id):
+        p = desc.placement
+        if desc.state is ClientState.DISCONNECTED:
+            ref.pixels()[p.y:p.y + p.height, p.x:p.x + p.width] = \
+                old_crosshatch(target.format, p.width, p.height)
+        elif desc.held is not None:
+            blit(desc.held.surface, ref, p)
+    return ref
+
+
+class TestDamage:
+    PLACEMENTS = [Rect(10, 20, 64, 48), Rect(110, 20, 64, 48),
+                  Rect(210, 150, 64, 48), Rect(310, 236, 64, 48)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_ticks_match_full_repaint(self, seed):
+        rng = random.Random(seed)
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        clients = {}      # client id -> [buf, session, saved header bytes]
+
+        def add(rect):
+            buf, session = make_client(clock, rect.width, rect.height,
+                                       fmt=rng.choice(list(PixelFormat)),
+                                       depth=rng.randint(1, 3),
+                                       timeout_us=10_000_000)
+            desc = server.register_client(buf, rect, 0.0)
+            clients[desc.id] = [buf, session, None]
+
+        for rect in self.PLACEMENTS:
+            add(rect)
+        seen = {"new": 0, "held": 0, "empty": 0, "disconnected": 0,
+                "fault": 0, "reconnect": 0, "reuse": 0}
+        for tick in range(150):
+            clock.sleep_us(10_000)
+            for cid, (buf, session, _) in clients.items():
+                desc = server.clients[cid]
+                if desc.state is ClientState.ACTIVE and rng.random() < 0.4:
+                    surface = session.try_begin_frame()
+                    if surface is not None:
+                        render_pattern(surface, rng.randrange(256))
+                        session.end_frame()
+            active = [d for d in server.clients.values()
+                      if d.state is ClientState.ACTIVE]
+            gone = [d for d in server.clients.values()
+                    if d.state is ClientState.DISCONNECTED]
+            roll = rng.random()
+            if roll < 0.05 and active:
+                # garbage header: compose disconnects it as a fault
+                entry = clients[rng.choice(active).id]
+                entry[2] = bytes(entry[0][:16])
+                entry[0][:16] = b"\xde\xad\xbe\xef" * 4
+                seen["fault"] += 1
+            elif roll < 0.12 and active:
+                server.disconnect(rng.choice(active), "watchdog")
+            elif roll < 0.17 and gone:
+                try:
+                    add(rng.choice(gone).placement)
+                    seen["reuse"] += 1
+                except PlacementConflict:
+                    pass    # already reused
+            elif roll < 0.30 and gone:
+                desc = rng.choice(gone)
+                buf, _, header = clients[desc.id]
+                if header is not None:
+                    buf[:16] = header
+                    clients[desc.id][2] = None
+                shm.write_detach_flag(buf, desc.header, 0)
+                try:
+                    server.reconnect_client(desc.id, buf)
+                    seen["reconnect"] += 1
+                except PlacementConflict:
+                    pass    # its area went to a newer client
+            rep = server.compose_once(clock.now_us())
+            for r in rep.clients:
+                seen[r.outcome] += 1
+            target = server.target.surface
+            assert np.array_equal(target.pixels(),
+                                  full_repaint(server).pixels()), tick
+            assert sink.checksums()[-1] == frame_checksum(target), tick
+        assert all(seen.values()), seen
+
+    def test_client_writes_into_drawing_slot_not_presented(self):
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        buf, a = make_client(clock)
+        server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 3)
+        server.compose_once(clock.now_us())
+        presented = server.target.surface.pixels().copy()
+        checksum = sink.checksums()[-1]
+        (index,) = [i for i, st in enumerate(a.queue.statuses())
+                    if st is FrameState.DRAWING]
+        a.queue.surface(index).fill(0xFFFFFFFF)
+        rep = server.compose_once(clock.now_us())
+        assert rep.clients[0].outcome == "held"
+        assert np.array_equal(server.target.surface.pixels(), presented)
+        assert sink.checksums()[-1] == checksum
+
+    def test_damage_spans_changed_rows(self):
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        a_buf, a = make_client(clock)
+        b_buf, b = make_client(clock)
+        server.register_client(a_buf, Rect(0, 10, 64, 64), 1)
+        server.register_client(b_buf, Rect(100, 200, 64, 64), 1)
+        server.compose_once(clock.now_us())
+        assert server.target.surface.damage == (0, 300)
+        server.compose_once(clock.now_us())
+        assert server.target.surface.damage == (0, 0)
+        submit(b, 1)
+        server.compose_once(clock.now_us())
+        assert server.target.surface.damage == (200, 264)
+        submit(a, 2)
+        submit(b, 3)
+        server.compose_once(clock.now_us())
+        assert server.target.surface.damage == (10, 264)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from fbcomp import regions, shm
 from fbcomp.pixel import PixelFormat
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
-                             TargetSpec, parse_scenario, run_scenario)
+                             TargetSpec, load_scenario, parse_scenario,
+                             run_scenario)
 
 from test_acceptance import _containment_config
 
@@ -181,6 +183,32 @@ class TestSimEngine:
                 for name, c in report.clients.items()} == clients
         assert hashlib.sha256(
             json.dumps(report.checksums).encode()).hexdigest() == digest
+
+    # SHA-256 of the JSON checksum list of each benchmark workload file run
+    # for 3 s of simulated time, recorded while every tick still repainted
+    # and checksummed the whole target. The counters widget renders with
+    # floating point, so reference-2x768 pins this host's numpy as well.
+    WORKLOAD_GOLDEN = {
+        "faults-4x384":
+            "da2375146bd92203101f51c30f79572279edf43c3f19992c5c375921aae95990",
+        "mosaic-8x384":
+            "e64a1fe6790d640ec9521404ea01378717cd699da4cb714fa19d76a4eff011c5",
+        "reference-2x768":
+            "c888880084e59bb9c654ca0f9982fcb80ad46d117e9319564aeffd602738c220",
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_GOLDEN))
+    def test_golden_workload_files(self, name):
+        path = (Path(__file__).resolve().parents[1] / "layerbench" / "workloads"
+                / f"{name}.ini")
+        config = load_scenario(path)
+        config = replace(config, run=replace(config.run, duration_s=3.0,
+                                             clock="sim"))
+        report = run_scenario(config)
+        assert report.server_frames == 180
+        assert hashlib.sha256(
+            json.dumps(report.checksums).encode()).hexdigest() \
+            == self.WORKLOAD_GOLDEN[name]
 
     def test_image_sink_produces_replayable_index(self, tmp_path):
         config = two_client_config(duration_s=0.2, sink="images",

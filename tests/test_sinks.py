@@ -1,10 +1,13 @@
+import random
 import zlib
 
+import numpy as np
 import pytest
 
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, pack_channels
 from fbcomp.sinks import (ChecksumSink, ImageSequenceSink, NullSink,
-                          frame_checksum, make_sink, replay_index, write_ppm)
+                          crc32_combine, frame_checksum, make_sink,
+                          replay_index, write_ppm)
 from fbcomp.widgets import render_pattern
 
 
@@ -30,6 +33,52 @@ class TestChecksums:
         a.fill(pack_channels(PixelFormat.R8G8B8A8, 10, 20, 30, 255))
         b.fill(pack_channels(PixelFormat.B8G8R8A8, 10, 20, 30, 255))
         assert frame_checksum(a) == frame_checksum(b)
+
+
+class TestCrc32Combine:
+    def test_matches_crc_of_concatenation(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            data = rng.randbytes(rng.randrange(0, 3000))
+            for k in (0, len(data), rng.randrange(len(data) + 1)):
+                a, b = data[:k], data[k:]
+                assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) \
+                    == zlib.crc32(data)
+
+
+class TestChecksumSinkDamage:
+    def test_unknown_damage_is_frame_checksum(self):
+        sink = ChecksumSink()
+        surfaces = [surface_with(1),
+                    surface_with(2, fmt=PixelFormat.B8G8R8A8),
+                    Surface.allocate(SurfaceGeometry.for_width(16, 16),
+                                     PixelFormat.R8G8B8A8)]
+        expected = []
+        for i in range(6):
+            s = surfaces[i % 3]
+            render_pattern(s, i * 11)     # changes rows no damage names
+            assert s.damage is None
+            sink.present(s, i)
+            expected.append(frame_checksum(s))
+        assert sink.checksums() == expected
+
+    def test_damage_spans_match_full_checksum(self):
+        rng = random.Random(9)
+        a = Surface.allocate(SurfaceGeometry.for_width(16, 40), PixelFormat.R8G8B8A8)
+        b = Surface.allocate(SurfaceGeometry.for_width(16, 40), PixelFormat.R8G8B8A8)
+        sink = ChecksumSink()
+        for _ in range(400):
+            s = a if rng.random() < 0.9 else b
+            y0 = rng.randrange(41)
+            y1 = y0 if rng.random() < 0.2 else rng.randrange(y0, 41)
+            s.pixels()[y0:y1] = np.frombuffer(
+                rng.randbytes((y1 - y0) * 16 * 4), np.uint8).reshape(-1, 16, 4)
+            s.damage = (y0, y1)
+            sink.present(s, 0)
+            assert sink.checksums()[-1] == frame_checksum(s)
+        a.damage = (30, 41)
+        with pytest.raises(ValueError):
+            sink.present(a, 0)
 
 
 class TestImageSequence:
@@ -77,6 +126,11 @@ class TestImageSequence:
         data = (tmp_path / "x.ppm").read_bytes()
         assert data.startswith(b"P6\n16 16\n255\n")
         assert len(data) == len(b"P6\n16 16\n255\n") + 16 * 16 * 3
+
+    def test_ppm_returns_crc_of_file(self, tmp_path):
+        s = surface_with(4, fmt=PixelFormat.A8B8G8R8)
+        assert write_ppm(tmp_path / "x.ppm", s) == \
+            zlib.crc32((tmp_path / "x.ppm").read_bytes())
 
 
 class TestFactory:
