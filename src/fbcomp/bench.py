@@ -107,7 +107,7 @@ class BenchmarkReport:
 
     def to_text(self) -> str:
         lines = [
-            f"machine: {self.machine}",
+            f"machine: {self.machine}, crc32 {sinks.CRC32_BACKEND}",
             f"target {self.config.target_width}x{self.config.target_height}, "
             f"clients {self.config.client_count}x "
             f"{self.config.client_width}x{self.config.client_height}, "
@@ -138,6 +138,7 @@ class BenchmarkReport:
     def to_json(self) -> str:
         return json.dumps({
             "machine": self.machine,
+            "crc32": sinks.CRC32_BACKEND,
             "config": {
                 "target": [self.config.target_width, self.config.target_height],
                 "client": [self.config.client_width, self.config.client_height],

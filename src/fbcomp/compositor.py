@@ -9,11 +9,11 @@ and copied from that tile after.
 
 Composition is damage-tracked: each tick repaints only the placements
 whose content changed since the previous tick (a new take, a frame
-replaced by the indicator or by nothing) and records the changed rows on
-the target as `Surface.damage`, so a sink can skip the rest. That relies
-on the compositor being the only writer of its target surface: anything
-else that writes into it must not expect its pixels to survive or be
-presented.
+replaced by the indicator or by nothing, a newly registered client) and
+records the changed rows on the target as `Surface.damage`, so a sink
+can skip the rest. That relies on the compositor being the only writer
+of its target surface: anything else that writes into it must not
+expect its pixels to survive or be presented.
 
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
@@ -304,9 +304,10 @@ class CompositorServer:
 
         Repaints only the placements whose content changed since the
         previous present, and records their row span as the target's
-        `damage`. The first tick, a change in the set of clients, and
-        overlapping placements (a disconnected client's area reused)
-        repaint everything. A client whose region or frames fail the
+        `damage`. A newly registered client's placement counts as
+        changed. The first tick, overlapping placements (a disconnected
+        client's area reused) and the tick after a failed compose repaint
+        everything. A client whose region or frames fail the
         protocol is disconnected and composition continues; an
         output-sink failure or a server bug propagates.
         """
@@ -331,7 +332,6 @@ class CompositorServer:
         # full repaint.
         shown, self._shown = self._shown, None
         if shown is None or shown.keys() != self.clients.keys():
-            shown = None
             placements = [d.placement for d in self.clients.values()]
             self._overlap = any(a.overlaps(b) for i, a in enumerate(placements)
                                 for b in placements[i + 1:])
@@ -344,7 +344,7 @@ class CompositorServer:
         else:
             y0, y1 = self.target.geometry.height, 0
             for desc, source in sources:
-                if shown[desc.id] is not source:
+                if desc.id not in shown or shown[desc.id] is not source:
                     p = desc.placement
                     self._paint(p, source)
                     y0, y1 = min(y0, p.y), max(y1, p.y + p.height)

@@ -249,10 +249,10 @@ def blit(src: Surface, dst: Surface, at: Rect) -> None:
     perm = channel_permutation(src.format, dst.format)
     src_px = src.pixels()
     out = dst.pixels()[at.y:at.y + at.height, at.x:at.x + at.width, :]
-    if perm == (0, 1, 2, 3):
-        out[:] = src_px
-    else:
-        # One strided copy per channel; a fancy-index gather would
-        # materialise the whole converted block first.
-        for i, p in enumerate(perm):
+    # A row copy, then one strided copy per channel that moved: cheaper
+    # than four strided copies when channels stay put, and no
+    # fancy-index gather materialises the converted block.
+    out[:] = src_px
+    for i, p in enumerate(perm):
+        if p != i:
             out[..., i] = src_px[..., p]

@@ -4,6 +4,13 @@ Frame checksums are CRC-32 over the tight pixel rows normalized to
 R8G8B8A8 byte order, so they are independent of pitch padding, surface
 format, and platform.
 
+Every CRC here goes through `crc32`, which has `zlib.crc32`'s contract.
+It is bound once, at import: to libdeflate's `libdeflate_crc32` (a
+carry-less-multiply kernel, several times faster) when
+`libdeflate.so.0` loads, else to `zlib.crc32` itself. Both compute the
+same CRC-32, so no checksum depends on which one runs;
+`CRC32_BACKEND` names it.
+
 `ChecksumSink` reads `Surface.damage`: handed the same tight R8G8B8A8
 surface twice, it CRCs only the changed rows and splices in cached CRCs
 of the rest. That is exact only while the damage names every changed
@@ -13,6 +20,7 @@ its only writer.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import zlib
 from pathlib import Path
@@ -21,6 +29,27 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .pixel import BYTES_PER_PIXEL, PixelFormat, Surface
+
+
+def _bind_crc32():
+    # No ctypes.util.find_library: it starts a subprocess.
+    try:
+        lib = ctypes.CDLL("libdeflate.so.0")
+    except OSError:
+        return zlib.crc32, "zlib"
+    fn = lib.libdeflate_crc32
+    fn.restype = ctypes.c_uint32
+    fn.argtypes = (ctypes.c_uint32, ctypes.c_void_p, ctypes.c_size_t)
+
+    def crc32(data, value=0):
+        """CRC-32 of `data` continued from `value`, as zlib.crc32."""
+        buf = np.frombuffer(data, np.uint8)   # a view: no copy
+        return fn(value, buf.ctypes.data, buf.nbytes)
+
+    return crc32, "libdeflate"
+
+
+crc32, CRC32_BACKEND = _bind_crc32()
 
 
 def _is_tight_rgba(surface: Surface) -> bool:
@@ -34,7 +63,7 @@ def frame_checksum(surface: Surface) -> int:
         data = surface.buffer()   # already tight and normalized: no copy
     else:
         data = surface.tight_bytes(PixelFormat.R8G8B8A8)
-    return zlib.crc32(data) & 0xFFFFFFFF
+    return crc32(data)
 
 
 # CRC-32 combination, as zlib's crc32_combine: polynomials over GF(2) in
@@ -142,9 +171,9 @@ class ChecksumSink:
             b0, b1, prefix, suffix, suffix_len = 0, height, 0, 0, 0
         buf = surface.buffer()
         pitch = surface.geometry.pitch
-        prefix = zlib.crc32(buf[b0 * pitch:y0 * pitch], prefix)
-        head = zlib.crc32(buf[y0 * pitch:y1 * pitch], prefix)
-        suffix = self._combine(zlib.crc32(buf[y1 * pitch:b1 * pitch]),
+        prefix = crc32(buf[b0 * pitch:y0 * pitch], prefix)
+        head = crc32(buf[y0 * pitch:y1 * pitch], prefix)
+        suffix = self._combine(crc32(buf[y1 * pitch:b1 * pitch]),
                                suffix, suffix_len)
         suffix_len += (b1 - y1) * pitch
         self._crc = self._combine(head, suffix, suffix_len)
@@ -177,7 +206,7 @@ def write_ppm(path, surface: Surface) -> int:
     with open(path, "wb") as f:
         f.write(header)
         f.write(rgb)
-    return zlib.crc32(rgb, zlib.crc32(header))
+    return crc32(rgb, crc32(header))
 
 
 class ImageSequenceSink:
@@ -229,7 +258,7 @@ def replay_index(index_path) -> List[str]:
         if not path.exists():
             problems.append(f"{name}: missing file")
             continue
-        actual = zlib.crc32(path.read_bytes()) & 0xFFFFFFFF
+        actual = crc32(path.read_bytes())
         if actual != expected:
             problems.append(f"{name}: checksum {actual:08x} != {expected:08x}")
     return problems

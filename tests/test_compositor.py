@@ -619,6 +619,26 @@ class TestDamage:
         assert np.array_equal(server.target.surface.pixels(), presented)
         assert sink.checksums()[-1] == checksum
 
+    def test_register_does_not_reread_held_frames(self):
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        buf, a = make_client(clock)
+        server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 3)
+        server.compose_once(clock.now_us())
+        presented = server.target.surface.pixels().copy()
+        checksum = sink.checksums()[-1]
+        (index,) = [i for i, st in enumerate(a.queue.statuses())
+                    if st is FrameState.DRAWING]
+        a.queue.surface(index).fill(0xFFFFFFFF)
+        b_buf, _ = make_client(clock)
+        server.register_client(b_buf, Rect(100, 200, 64, 64), 1)
+        rep = server.compose_once(clock.now_us())
+        assert [r.outcome for r in rep.clients] == ["held", "empty"]
+        assert np.array_equal(server.target.surface.pixels(), presented)
+        assert sink.checksums()[-1] == checksum
+        assert server.target.surface.damage == (200, 264)
+
     def test_damage_spans_changed_rows(self):
         clock = SimClock()
         server, _ = make_server(clock=clock)

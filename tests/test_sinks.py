@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from fbcomp import sinks
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, pack_channels
 from fbcomp.sinks import (ChecksumSink, ImageSequenceSink, NullSink,
                           crc32_combine, frame_checksum, make_sink,
@@ -33,6 +34,45 @@ class TestChecksums:
         a.fill(pack_channels(PixelFormat.R8G8B8A8, 10, 20, 30, 255))
         b.fill(pack_channels(PixelFormat.B8G8R8A8, 10, 20, 30, 255))
         assert frame_checksum(a) == frame_checksum(b)
+
+
+def damage_run(ticks, seed):
+    """Checksums of `ticks` presents of random row writes with exact damage."""
+    rng = random.Random(seed)
+    surface = Surface.allocate(SurfaceGeometry.for_width(32, 48),
+                               PixelFormat.R8G8B8A8)
+    sink = ChecksumSink()
+    for _ in range(ticks):
+        y0 = rng.randrange(49)
+        y1 = y0 if rng.random() < 0.2 else rng.randrange(y0, 49)
+        surface.pixels()[y0:y1] = np.frombuffer(
+            rng.randbytes((y1 - y0) * 32 * 4), np.uint8).reshape(-1, 32, 4)
+        surface.damage = (y0, y1)
+        sink.present(surface, 0)
+    return sink.checksums()
+
+
+class TestCrc32:
+    @pytest.mark.parametrize("length", [0, 1, 4095, 5121, 1 << 20])
+    def test_matches_zlib_on_every_buffer_kind(self, length):
+        data = random.Random(length).randbytes(length + 1)
+        arr = np.frombuffer(data, np.uint8)
+        views = [data[1:], bytearray(data[1:]), arr[1:],
+                 memoryview(data)[1:].toreadonly()]
+        chained = zlib.crc32(b"chained")
+        for view in views:
+            assert sinks.crc32(view) == zlib.crc32(view)
+            assert sinks.crc32(view, 0x1234ABCD) == zlib.crc32(view, 0x1234ABCD)
+            assert sinks.crc32(view, sinks.crc32(b"chained")) == \
+                zlib.crc32(view, chained)
+
+    def test_backend_is_named(self):
+        assert sinks.CRC32_BACKEND in ("libdeflate", "zlib")
+
+    def test_zlib_fallback_records_the_same_checksums(self, monkeypatch):
+        active = damage_run(200, 5)
+        monkeypatch.setattr(sinks, "crc32", zlib.crc32)
+        assert damage_run(200, 5) == active
 
 
 class TestCrc32Combine:
