@@ -176,7 +176,7 @@ def open_direct_session(context: FramebufferContext, sink,
         framerate=context.framerate, timeout_us=context.timeout_us,
         queue_depth=context.queue_depth,
     )
-    region, _ = shm.create_region(config)
+    region, _ = shm.allocate_region(config)
     shm.publish(region)
     header = shm.read_header(region)
     queue = shm.queue_view(memoryview(region), header, context.format)

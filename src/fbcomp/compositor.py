@@ -11,9 +11,13 @@ Composition is damage-tracked: each tick repaints only the placements
 whose content changed since the previous tick (a new take, a frame
 replaced by the indicator or by nothing, a newly registered client) and
 records the changed rows on the target as `Surface.damage`, so a sink
-can skip the rest. That relies on the compositor being the only writer
-of its target surface: anything else that writes into it must not
-expect its pixels to survive or be presented.
+can skip the rest. A held frame is drawn exactly once, when it is taken,
+so a client cannot change the display through a slot it handed over.
+That relies on the compositor being the only writer of its target
+surface: anything else that writes into it must not expect its pixels
+to survive or be presented. It also relies on no two registered
+placements overlapping: registering over a disconnected client's area
+retires that client and clears its area.
 
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
@@ -111,14 +115,11 @@ class CompositionTarget:
         v = self.background & 0xFFFFFFFF
         return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
 
-    def clear(self, area: Optional[Rect] = None) -> None:
-        """Fill the whole surface, or only `area`, with the background."""
-        if area is None:
-            self.surface.fill(self._bg_native)
-        else:
-            self.surface.pixels()[area.y:area.y + area.height,
-                                  area.x:area.x + area.width] = \
-                np.frombuffer(self._bg_native.to_bytes(4, "little"), np.uint8)
+    def clear(self, area: Rect) -> None:
+        """Fill `area` with the background."""
+        self.surface.pixels()[area.y:area.y + area.height,
+                              area.x:area.x + area.width] = \
+            np.frombuffer(self._bg_native.to_bytes(4, "little"), np.uint8)
 
 
 class CompositorServer:
@@ -135,11 +136,14 @@ class CompositorServer:
         self._next_id = 1
         # (width, height) -> indicator tile in the target's format
         self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
-        # client id -> what its placement showed at the last present: a
-        # frame's surface, _INDICATOR or None. None here forces a full
-        # repaint on the next tick.
-        self._shown: Optional[Dict[int, object]] = None
-        self._overlap = False     # do any two placements overlap?
+        # client id -> what its placement shows on the target: a frame's
+        # surface, _INDICATOR or None (background); set as each is painted
+        self._shown: Dict[int, object] = {}
+        # areas to fill with the background on the next compose: the whole
+        # target, then the placements of retired clients
+        g = target.geometry
+        self._to_clear: List[Rect] = [Rect(0, 0, g.width, g.height)]
+        self._unpresented = (g.height, 0)   # rows painted since the last present
 
     # -- registration ------------------------------------------------------
 
@@ -150,6 +154,10 @@ class CompositorServer:
 
         `pixel_buf` optionally supplies a read-only mapping used for all
         pixel reads; status records are still driven through `region`.
+        The placement may not overlap an active client. Disconnected
+        clients it overlaps are retired: dropped from `clients` (their
+        `events` stay) and their areas cleared on the next compose. A
+        registration that raises changes nothing.
         """
         if not placement.fits_inside(self.target.geometry):
             raise ValueError(f"placement {placement} outside target "
@@ -162,8 +170,10 @@ class CompositorServer:
             raise ValueError(
                 f"placement {placement.width}x{placement.height} does not match "
                 f"client surface {header.width}x{header.height}")
-        for other in self.clients.values():
-            if other.state is ClientState.ACTIVE and placement.overlaps(other.placement):
+        covered = [other for other in self.clients.values()
+                   if placement.overlaps(other.placement)]
+        for other in covered:
+            if other.state is ClientState.ACTIVE:
                 raise PlacementConflict(
                     f"placement {placement} overlaps client {other.id}")
         if client_id is None:
@@ -187,15 +197,24 @@ class CompositorServer:
             last_heartbeat=shm.read_heartbeat(region, header),
             connected_at_us=now,
         )
+        for other in covered:
+            del self.clients[other.id]
+            self._shown.pop(other.id, None)
+            self._to_clear.append(other.placement)
         self.clients[client_id] = desc
         return desc
 
     def reconnect_client(self, client_id: int, region,
                          pixel_buf=None) -> ClientDescriptor:
-        """Fresh descriptor at the same placement after a disconnect."""
+        """Fresh descriptor at the same placement after a disconnect.
+
+        A client retired by a registration over its area is no longer
+        registered and cannot be reconnected. A reconnect that raises
+        changes nothing.
+        """
         old = self.clients.get(client_id)
         if old is None:
-            raise ClientNotFound(f"client {client_id} was never registered")
+            raise ClientNotFound(f"client {client_id} is not registered")
         if old.state is ClientState.ACTIVE:
             raise AlreadyConnected(f"client {client_id} is still connected")
         del self.clients[client_id]
@@ -302,18 +321,18 @@ class CompositorServer:
     def compose_once(self, now_us: Optional[int] = None) -> ComposeReport:
         """Build one output frame and present it.
 
-        Repaints only the placements whose content changed since the
-        previous present, and records their row span as the target's
-        `damage`. A newly registered client's placement counts as
-        changed. The first tick, overlapping placements (a disconnected
-        client's area reused) and the tick after a failed compose repaint
-        everything. A client whose region or frames fail the
+        Clears the areas queued for it (the whole target on the first
+        tick), repaints the placements whose content changed, and
+        presents the rows painted since the last successful present as
+        the target's `damage`. A newly registered client's placement
+        counts as changed. After a failed present the target already
+        holds that tick's pixels, so the next tick presents them again
+        and rereads no slot. A client whose region or frames fail the
         protocol is disconnected and composition continues; an
         output-sink failure or a server bug propagates.
         """
         now = self.clock.now_us() if now_us is None else now_us
-        reports = []
-        sources = []
+        reports, sources = [], []
         for desc in sorted(self.clients.values(), key=lambda d: d.id):
             source = _INDICATOR
             if desc.state is ClientState.DISCONNECTED:
@@ -327,34 +346,21 @@ class CompositorServer:
                     report = ClientReport(desc.id, "disconnected")
             reports.append(report)
             sources.append((desc, source))
+        for area in self._to_clear:
+            self._paint(area, None)
+        self._to_clear.clear()
+        for desc, source in sources:
+            if desc.id not in self._shown or self._shown[desc.id] is not source:
+                self._paint(desc.placement, source)
+                self._shown[desc.id] = source
 
-        # Until this tick is presented, a failure leaves the next tick a
-        # full repaint.
-        shown, self._shown = self._shown, None
-        if shown is None or shown.keys() != self.clients.keys():
-            placements = [d.placement for d in self.clients.values()]
-            self._overlap = any(a.overlaps(b) for i, a in enumerate(placements)
-                                for b in placements[i + 1:])
-        if shown is None or self._overlap:
-            self.target.clear()
-            for desc, source in sources:
-                if source is not None:
-                    self._paint(desc.placement, source)
-            damage = (0, self.target.geometry.height)
-        else:
-            y0, y1 = self.target.geometry.height, 0
-            for desc, source in sources:
-                if desc.id not in shown or shown[desc.id] is not source:
-                    p = desc.placement
-                    self._paint(p, source)
-                    y0, y1 = min(y0, p.y), max(y1, p.y + p.height)
-            damage = (y0, y1) if y0 < y1 else (0, 0)
-        self.target.surface.damage = damage
+        y0, y1 = self._unpresented
+        self.target.surface.damage = (y0, y1) if y0 < y1 else (0, 0)
         try:
             self.sink.present(self.target.surface, now)
         except Exception as exc:
             raise PresentFailure(str(exc)) from exc
-        self._shown = {desc.id: source for desc, source in sources}
+        self._unpresented = (self.target.geometry.height, 0)
         self.frames_presented += 1
         return ComposeReport(now, reports)
 
@@ -386,13 +392,15 @@ class CompositorServer:
                     desc.held.surface)
         return ClientReport(desc.id, "empty"), None
 
-    def _paint(self, placement: Rect, source) -> None:
+    def _paint(self, area: Rect, source) -> None:
         if source is None:
-            self.target.clear(placement)
+            self.target.clear(area)
         elif source is _INDICATOR:
-            self._paint_indicator(placement)
+            self._paint_indicator(area)
         else:
-            blit(source, self.target.surface, placement)
+            blit(source, self.target.surface, area)
+        y0, y1 = self._unpresented
+        self._unpresented = (min(y0, area.y), max(y1, area.y + area.height))
 
     def _paint_indicator(self, placement: Rect) -> None:
         """Diagonal crosshatch in a warning color over the placement."""

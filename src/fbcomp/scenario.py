@@ -491,7 +491,7 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
     server = _Server(config, clock)
     partitions = []
     for spec in config.clients:
-        buf, _ = shm.create_region(spec.region_config())
+        buf, _ = shm.allocate_region(spec.region_config())
         shm.publish(buf)
         session = connect_session(buf, clock)
         server.register(spec, buf)

@@ -380,7 +380,7 @@ def write_detach_flag(region, h: HeaderFields, value: int) -> None:
     _U32.pack_into(memoryview(region), h.private_offset + PRIV_DETACH, value)
 
 
-def create_region(config: RegionConfig) -> tuple:
+def allocate_region(config: RegionConfig) -> tuple:
     """Convenience: allocate an in-memory region, encode, return (buf, layout)."""
     lay = layout_for(config)
     buf = bytearray(lay.required_size)

@@ -70,7 +70,7 @@ def test_3_protocol_round_trip_and_fuzz():
     mismatches = 0
     for _ in range(1000):
         config = random_config(rng)
-        buf, lay = shm.create_region(config)
+        buf, lay = shm.allocate_region(config)
         shm.publish(buf)
         context, queue, header = shm.client_attach(buf, clock=SimClock())
         good = (context.geometry == config.geometry
@@ -86,7 +86,7 @@ def test_3_protocol_round_trip_and_fuzz():
     # Header fuzzing: every mutated region must either produce a
     # violation report or attach cleanly. An out-of-bounds read would
     # surface as struct.error/IndexError and fail the test outright.
-    base, _ = shm.create_region(small_config())
+    base, _ = shm.allocate_region(small_config())
     shm.publish(base)
     reported = clean = 0
     for _ in range(10_000):

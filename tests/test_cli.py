@@ -72,7 +72,7 @@ class TestValidate:
             geometry=SurfaceGeometry.for_width(64, 64),
             formats=(PixelFormat.R8G8B8A8,), framerate=30,
             timeout_us=100_000, queue_depth=2)
-        buf, _ = shm.create_region(config)
+        buf, _ = shm.allocate_region(config)
         shm.publish(buf)
         dump = tmp_path / "region.bin"
         dump.write_bytes(bytes(buf))

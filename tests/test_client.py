@@ -52,7 +52,7 @@ class TestBeginEnd:
             geometry=SurfaceGeometry.for_width(32, 32),
             formats=(PixelFormat.R8G8B8A8,), framerate=30,
             timeout_us=100_000, queue_depth=2)
-        buf, _ = shm.create_region(config)
+        buf, _ = shm.allocate_region(config)
         shm.publish(buf)
         session = connect_session(buf, clock)
         header = shm.read_header(buf)
@@ -196,7 +196,7 @@ class TestPresentDirect:
             geometry=SurfaceGeometry.for_width(32, 32),
             formats=(PixelFormat.R8G8B8A8,), framerate=30,
             timeout_us=100_000, queue_depth=2)
-        buf, _ = shm.create_region(config)
+        buf, _ = shm.allocate_region(config)
         shm.publish(buf)
         session = connect_session(buf, clock)
         with pytest.raises(UsageError):
@@ -221,7 +221,7 @@ class TestModePortability:
             geometry=SurfaceGeometry.for_width(32, 32),
             formats=(PixelFormat.R8G8B8A8,), framerate=60,
             timeout_us=50_000, queue_depth=3)
-        buf, _ = shm.create_region(config)
+        buf, _ = shm.allocate_region(config)
         shm.publish(buf)
         composited = connect_session(buf, clock)
         # depth 3, no consumer: both submit exactly 3 of the 5 attempts

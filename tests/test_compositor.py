@@ -10,7 +10,7 @@ from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
                                INDICATOR_COLOR, INDICATOR_FILL)
 from fbcomp.errors import (AlreadyConnected, ClientNotFound, PlacementConflict,
-                           SessionLost)
+                           PresentFailure, SessionLost)
 from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
 from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                           compute_pitch, pack_channels)
@@ -36,7 +36,7 @@ def make_client(clock, width=64, height=64, fmt=PixelFormat.R8G8B8A8,
         geometry=SurfaceGeometry(width, height, compute_pitch(width, fmt)),
         formats=(fmt,), framerate=framerate, timeout_us=timeout_us,
         queue_depth=depth, frame_padding=64)
-    buf, _ = shm.create_region(config)
+    buf, _ = shm.allocate_region(config)
     shm.publish(buf)
     return buf, connect_session(buf, clock)
 
@@ -62,6 +62,25 @@ def old_crosshatch(fmt, width, height):
     mask = (((xx + yy) % 16) < 2) | (((xx - yy) % 16) < 2)
     px[mask] = line
     return px
+
+
+class FailOnceSink(ChecksumSink):
+    """A checksum sink whose next present raises while `fail` is set."""
+
+    fail = False
+
+    def present(self, surface, now_us):
+        if self.fail:
+            self.fail = False
+            raise OSError("display unplugged")
+        super().present(surface, now_us)
+
+
+def fill_drawing_slot(session, pixel=0xFFFFFFFF):
+    """Write into the slot the server holds, as a client may."""
+    (index,) = [i for i, st in enumerate(session.queue.statuses())
+                if st is FrameState.DRAWING]
+    session.queue.surface(index).fill(pixel)
 
 
 def submit(session, index):
@@ -538,7 +557,7 @@ class TestDamage:
     def test_random_ticks_match_full_repaint(self, seed):
         rng = random.Random(seed)
         clock = SimClock()
-        server, sink = make_server(clock=clock)
+        server, sink = make_server(clock=clock, sink=FailOnceSink())
         clients = {}      # client id -> [buf, session, saved header bytes]
 
         def add(rect):
@@ -552,11 +571,13 @@ class TestDamage:
         for rect in self.PLACEMENTS:
             add(rect)
         seen = {"new": 0, "held": 0, "empty": 0, "disconnected": 0,
-                "fault": 0, "reconnect": 0, "reuse": 0}
+                "fault": 0, "reconnect": 0, "reuse": 0, "present-failure": 0}
         for tick in range(150):
             clock.sleep_us(10_000)
             for cid, (buf, session, _) in clients.items():
-                desc = server.clients[cid]
+                desc = server.clients.get(cid)
+                if desc is None:
+                    continue      # retired: its area went to a newer client
                 if desc.state is ClientState.ACTIVE and rng.random() < 0.4:
                     surface = session.try_begin_frame()
                     if surface is not None:
@@ -576,11 +597,8 @@ class TestDamage:
             elif roll < 0.12 and active:
                 server.disconnect(rng.choice(active), "watchdog")
             elif roll < 0.17 and gone:
-                try:
-                    add(rng.choice(gone).placement)
-                    seen["reuse"] += 1
-                except PlacementConflict:
-                    pass    # already reused
+                add(rng.choice(gone).placement)
+                seen["reuse"] += 1
             elif roll < 0.30 and gone:
                 desc = rng.choice(gone)
                 buf, _, header = clients[desc.id]
@@ -588,18 +606,22 @@ class TestDamage:
                     buf[:16] = header
                     clients[desc.id][2] = None
                 shm.write_detach_flag(buf, desc.header, 0)
-                try:
-                    server.reconnect_client(desc.id, buf)
-                    seen["reconnect"] += 1
-                except PlacementConflict:
-                    pass    # its area went to a newer client
-            rep = server.compose_once(clock.now_us())
-            for r in rep.clients:
-                seen[r.outcome] += 1
+                server.reconnect_client(desc.id, buf)
+                seen["reconnect"] += 1
+            sink.fail = tick > 0 and rng.random() < 0.04
             target = server.target.surface
+            try:
+                rep = server.compose_once(clock.now_us())
+            except PresentFailure:
+                seen["present-failure"] += 1
+            else:
+                for r in rep.clients:
+                    seen[r.outcome] += 1
+                assert sink.checksums()[-1] == frame_checksum(target), tick
             assert np.array_equal(target.pixels(),
                                   full_repaint(server).pixels()), tick
-            assert sink.checksums()[-1] == frame_checksum(target), tick
+            if tick > 0:
+                assert target.damage != (0, 300), tick
         assert all(seen.values()), seen
 
     def test_client_writes_into_drawing_slot_not_presented(self):
@@ -611,9 +633,7 @@ class TestDamage:
         server.compose_once(clock.now_us())
         presented = server.target.surface.pixels().copy()
         checksum = sink.checksums()[-1]
-        (index,) = [i for i, st in enumerate(a.queue.statuses())
-                    if st is FrameState.DRAWING]
-        a.queue.surface(index).fill(0xFFFFFFFF)
+        fill_drawing_slot(a)
         rep = server.compose_once(clock.now_us())
         assert rep.clients[0].outcome == "held"
         assert np.array_equal(server.target.surface.pixels(), presented)
@@ -628,9 +648,7 @@ class TestDamage:
         server.compose_once(clock.now_us())
         presented = server.target.surface.pixels().copy()
         checksum = sink.checksums()[-1]
-        (index,) = [i for i, st in enumerate(a.queue.statuses())
-                    if st is FrameState.DRAWING]
-        a.queue.surface(index).fill(0xFFFFFFFF)
+        fill_drawing_slot(a)
         b_buf, _ = make_client(clock)
         server.register_client(b_buf, Rect(100, 200, 64, 64), 1)
         rep = server.compose_once(clock.now_us())
@@ -657,3 +675,80 @@ class TestDamage:
         submit(b, 3)
         server.compose_once(clock.now_us())
         assert server.target.surface.damage == (10, 264)
+
+    def test_area_reuse_repaints_only_changed_rows(self):
+        # Registering over a disconnected client's area retires it: only
+        # the rows of the two areas change, and no held frame is redrawn
+        # from the slot its client can still write.
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        a_buf, a = make_client(clock)
+        c_buf, _ = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        dc = server.register_client(c_buf, Rect(200, 200, 64, 64), 1)
+        submit(a, 3)
+        server.compose_once(clock.now_us())
+        server.disconnect(dc, "watchdog")
+        server.compose_once(clock.now_us())
+        a_pixels = server.target.surface.pixels()[:64, :64].copy()
+        fill_drawing_slot(a)
+
+        other_buf, _ = make_client(clock)
+        with pytest.raises(AlreadyConnected):
+            server.register_client(other_buf, dc.placement, 1, client_id=da.id)
+        assert server.clients[dc.id] is dc
+        server.compose_once(clock.now_us())
+        assert server.target.surface.damage == (0, 0)
+
+        b_buf, _ = make_client(clock)
+        server.register_client(b_buf, Rect(220, 220, 64, 64), 1)
+        rep = server.compose_once(clock.now_us())
+        assert [r.outcome for r in rep.clients] == ["held", "empty"]
+        target = server.target.surface
+        px = target.pixels()
+        assert target.damage == (200, 284)
+        assert np.array_equal(px[:64, :64], a_pixels)
+        assert sink.checksums()[-1] == frame_checksum(target)
+        # C's indicator is gone, and B has no frame yet.
+        outside_a = np.ones(px.shape[:2], bool)
+        outside_a[:64, :64] = False
+        background = pack_channels(PixelFormat.R8G8B8A8, 0x10, 0x10, 0x10, 0xFF)
+        assert (px[outside_a].view("<u4") == background).all()
+        checksum = sink.checksums()[-1]
+        for _ in range(2):
+            server.compose_once(clock.now_us())
+            assert target.damage == (0, 0)
+            assert sink.checksums()[-1] == checksum
+
+        assert dc.id not in server.clients
+        assert [(e.client_id, e.reason) for e in server.events] == \
+            [(dc.id, "watchdog")]
+        with pytest.raises(ClientNotFound, match="is not registered"):
+            server.reconnect_client(dc.id, c_buf)
+
+    def test_failed_present_rereads_no_slot(self):
+        # After a failed present the target already holds that tick's
+        # pixels: the next tick presents them and reads no slot.
+        clock = SimClock()
+        server, sink = make_server(clock=clock, sink=FailOnceSink())
+        a_buf, a = make_client(clock)
+        b_buf, b = make_client(clock)
+        server.register_client(a_buf, Rect(0, 10, 64, 64), 1)
+        server.register_client(b_buf, Rect(100, 200, 64, 64), 1)
+        submit(a, 3)
+        server.compose_once(clock.now_us())
+        submit(b, 4)
+        sink.fail = True
+        with pytest.raises(PresentFailure, match="display unplugged"):
+            server.compose_once(clock.now_us())
+        painted = server.target.surface.pixels().copy()
+        fill_drawing_slot(a)
+        fill_drawing_slot(b)
+
+        rep = server.compose_once(clock.now_us())
+        assert [r.outcome for r in rep.clients] == ["held", "held"]
+        target = server.target.surface
+        assert np.array_equal(target.pixels(), painted)
+        assert target.damage == (200, 264)
+        assert sink.checksums()[-1] == frame_checksum(target)
+        assert sink.count == server.frames_presented == 2

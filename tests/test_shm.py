@@ -85,14 +85,14 @@ class TestLayout:
 
 class TestAttach:
     def test_unpublished_region_times_out(self):
-        buf, _ = shm.create_region(small_config())
+        buf, _ = shm.allocate_region(small_config())
         clock = SimClock()
         with pytest.raises(ServerUnavailable):
             shm.client_attach(buf, clock=clock, attach_timeout_us=50_000)
         assert clock.now_us() >= 50_000
 
     def test_bad_magic_rejected(self):
-        buf, _ = shm.create_region(small_config())
+        buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
         struct.pack_into("<I", buf, shm.OFF_MAGIC, shm.MAGIC ^ 1)
         with pytest.raises(IncompatibleProtocol):
@@ -102,7 +102,7 @@ class TestAttach:
         rng = random.Random(99)
         for _ in range(100):
             config = random_config(rng)
-            buf, lay = shm.create_region(config)
+            buf, lay = shm.allocate_region(config)
             shm.publish(buf)
             context, queue, header = shm.client_attach(buf, clock=SimClock())
             assert context.geometry == config.geometry
@@ -115,7 +115,7 @@ class TestAttach:
             assert header.frame_padding == config.frame_padding
 
     def test_format_negotiation(self):
-        buf, _ = shm.create_region(small_config())
+        buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
         context, _, header = shm.client_attach(
             buf, clock=SimClock(), preferred_format=PixelFormat.B8G8R8A8)
@@ -123,7 +123,7 @@ class TestAttach:
         assert shm.negotiated_format(buf, header) == PixelFormat.B8G8R8A8
 
     def test_unoffered_format_rejected(self):
-        buf, _ = shm.create_region(
+        buf, _ = shm.allocate_region(
             small_config(formats=(PixelFormat.R8G8B8A8,)))
         shm.publish(buf)
         with pytest.raises(IncompatibleProtocol):
@@ -134,7 +134,7 @@ class TestAttach:
         # A client observing ready=1 must observe every other header
         # field: encode_header leaves ready at 0 until publish.
         config = small_config()
-        buf, _ = shm.create_region(config)
+        buf, _ = shm.allocate_region(config)
         assert not shm.is_published(buf)
         header = shm.read_header(buf)
         assert header.magic == shm.MAGIC and header.width == 64
@@ -142,7 +142,7 @@ class TestAttach:
         assert shm.is_published(buf)
 
     def test_queue_round_trip_through_region(self):
-        buf, _ = shm.create_region(small_config())
+        buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
         _, queue, _ = shm.client_attach(buf, clock=SimClock())
         h = queue.acquire_frame()
@@ -157,12 +157,12 @@ class TestAttach:
 
 class TestValidate:
     def test_well_formed_region_clean(self):
-        buf, _ = shm.create_region(small_config())
+        buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
         assert shm.validate_region(buf) == []
 
     def test_overlap_violation_names_both_tables(self):
-        buf, lay = shm.create_region(small_config())
+        buf, lay = shm.allocate_region(small_config())
         shm.publish(buf)
         # point the frame status array into the format table
         struct.pack_into("<I", buf, shm.OFF_FRAME_OFFSET, lay.format_offset)
@@ -174,12 +174,12 @@ class TestValidate:
         assert shm.validate_region(b"\x00" * 10)
 
     def test_unknown_format_tag(self):
-        buf, lay = shm.create_region(small_config())
+        buf, lay = shm.allocate_region(small_config())
         struct.pack_into("<I", buf, lay.format_offset, 77)
         assert any("unknown tag 77" in v for v in shm.validate_region(buf))
 
     def test_misaligned_frame_data(self):
-        buf, lay = shm.create_region(small_config())
+        buf, lay = shm.allocate_region(small_config())
         struct.pack_into("<I", buf, shm.OFF_FRAME_DATA_OFFSET,
                          lay.frame_data_offset + 4)
         assert any("aligned" in v or "outside" in v
@@ -191,7 +191,7 @@ class TestValidate:
         # and must never touch memory outside the buffer (a stray read
         # would raise struct.error / IndexError here).
         rng = random.Random(7)
-        base, _ = shm.create_region(small_config())
+        base, _ = shm.allocate_region(small_config())
         shm.publish(base)
         for _ in range(2000):
             buf = bytearray(base)

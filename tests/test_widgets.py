@@ -50,20 +50,22 @@ class TestCounters:
     def test_complexity_scales_render_time_roughly_linearly(self):
         # Trend check, not a constant: doubling complexity should about
         # double per-frame work (within 25%) on a warm run.
+        # CPU time of this thread, so other load on the host does not
+        # count; the two complexities alternate, so a slow spell hits both.
         surface = make_surface(512)
         render_counters(surface, 0.1, 4)  # warm caches
 
         def measure(complexity, reps=6):
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for i in range(reps):
-                    render_counters(surface, 0.1 * i, complexity)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            t0 = time.thread_time()
+            for i in range(reps):
+                render_counters(surface, 0.1 * i, complexity)
+            return time.thread_time() - t0
 
-        t4, t8 = measure(4), measure(8)
-        ratio = t8 / t4
+        best = {4: float("inf"), 8: float("inf")}
+        for _ in range(5):
+            for complexity in best:
+                best[complexity] = min(best[complexity], measure(complexity))
+        ratio = best[8] / best[4]
         assert 1.5 <= ratio <= 2.5, f"complexity scaling ratio {ratio:.2f}"
 
 
