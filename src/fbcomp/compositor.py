@@ -8,16 +8,26 @@ once per client size, the first time a client of that size is painted,
 and copied from that tile after.
 
 Composition is damage-tracked: each tick repaints only the placements
-whose content changed since the previous tick (a new take, a frame
+whose content changed since the previous tick (every new take, a frame
 replaced by the indicator or by nothing, a newly registered client) and
 records the changed rows on the target as `Surface.damage`, so a sink
 can skip the rest. A held frame is drawn exactly once, when it is taken,
 so a client cannot change the display through a slot it handed over.
+A take repaints even when it hands back the slot shown last: the queue
+caches one surface per slot, so the same surface object can carry a new
+frame.
 That relies on the compositor being the only writer of its target
 surface: anything else that writes into it must not expect its pixels
 to survive or be presented. It also relies on no two registered
 placements overlapping: registering over a disconnected client's area
 retires that client and clears its area.
+
+Each tick trusts one word of a client's header, the magic; every other
+field comes from the header read and validated at registration. The
+per-client work of a tick is a fixed handful of Python steps: one read
+of the status records and one of the magic word in compose, one running
+frame count in the min-fps check, and one heartbeat read per watchdog
+poll.
 
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
@@ -83,6 +93,7 @@ class ClientDescriptor:
     connected_at_us: int = 0
     # (timestamp, frames submitted since previous observation)
     fps_window: deque = field(default_factory=deque)
+    fps_frames: int = 0           # the sum of the counts in fps_window
     held: Optional[FrameHandle] = None
 
 
@@ -134,6 +145,7 @@ class CompositorServer:
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
         self._next_id = 1
+        self._retired: set = set()   # ids of retired clients, never reused
         # (width, height) -> indicator tile in the target's format
         self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
         # client id -> what its placement shows on the target: a frame's
@@ -156,8 +168,9 @@ class CompositorServer:
         pixel reads; status records are still driven through `region`.
         The placement may not overlap an active client. Disconnected
         clients it overlaps are retired: dropped from `clients` (their
-        `events` stay) and their areas cleared on the next compose. A
-        registration that raises changes nothing.
+        `events` stay) and their areas cleared on the next compose; their
+        ids are never registered again. A registration that raises
+        changes nothing.
         """
         if not placement.fits_inside(self.target.geometry):
             raise ValueError(f"placement {placement} outside target "
@@ -181,6 +194,9 @@ class CompositorServer:
             self._next_id += 1
         elif client_id in self.clients:
             raise AlreadyConnected(f"client {client_id} already registered")
+        elif client_id in self._retired:
+            raise AlreadyConnected(f"client {client_id} was retired; "
+                                   f"its id is not reused")
         else:
             self._next_id = max(self._next_id, client_id + 1)
         now = self.clock.now_us()
@@ -199,6 +215,7 @@ class CompositorServer:
         )
         for other in covered:
             del self.clients[other.id]
+            self._retired.add(other.id)
             self._shown.pop(other.id, None)
             self._to_clear.append(other.placement)
         self.clients[client_id] = desc
@@ -290,18 +307,19 @@ class CompositorServer:
         """'keep' or 'disconnect' based on fps over the sliding window.
 
         Only judged once a full window has elapsed since connection, and
-        the threshold is strict: exactly min_fps keeps the client.
+        the threshold is strict: exactly min_fps keeps the client. The
+        frame count is kept running beside the window, so a check costs
+        the entries it drops, not the window's length.
         """
         now = self.clock.now_us() if now_us is None else now_us
         if desc.state is not ClientState.ACTIVE:
             return "disconnect"
         window = self.fps_window_us
         while desc.fps_window and desc.fps_window[0][0] <= now - window:
-            desc.fps_window.popleft()
+            desc.fps_frames -= desc.fps_window.popleft()[1]
         if now - desc.connected_at_us < window:
             return "keep"
-        frames = sum(n for _, n in desc.fps_window)
-        fps = frames * 1e6 / window
+        fps = desc.fps_frames * 1e6 / window
         if fps < desc.min_fps:
             self.disconnect(desc, "low-fps", now)
             return "disconnect"
@@ -322,12 +340,12 @@ class CompositorServer:
         """Build one output frame and present it.
 
         Clears the areas queued for it (the whole target on the first
-        tick), repaints the placements whose content changed, and
-        presents the rows painted since the last successful present as
-        the target's `damage`. A newly registered client's placement
-        counts as changed. After a failed present the target already
-        holds that tick's pixels, so the next tick presents them again
-        and rereads no slot. A client whose region or frames fail the
+        tick), repaints every new take and any other placement whose
+        content changed, and presents the rows painted since the last
+        successful present as the target's `damage`. A newly registered
+        client's placement counts as changed. After a failed present the
+        target already holds that tick's pixels, so the next tick
+        presents them again and rereads no slot. A client whose region or frames fail the
         protocol is disconnected and composition continues; an
         output-sink failure or a server bug propagates.
         """
@@ -345,12 +363,13 @@ class CompositorServer:
                     self.disconnect(desc, "fault", now, detail=str(exc))
                     report = ClientReport(desc.id, "disconnected")
             reports.append(report)
-            sources.append((desc, source))
+            sources.append((desc, report.outcome == "new", source))
         for area in self._to_clear:
             self._paint(area, None)
         self._to_clear.clear()
-        for desc, source in sources:
-            if desc.id not in self._shown or self._shown[desc.id] is not source:
+        for desc, new, source in sources:
+            if (new or desc.id not in self._shown
+                    or self._shown[desc.id] is not source):
                 self._paint(desc.placement, source)
                 self._shown[desc.id] = source
 
@@ -369,8 +388,9 @@ class CompositorServer:
         """Take the client's newest frame; return the report and the
         surface its placement should show (None: nothing yet)."""
         # A client scribbling over its own header must not survive as a
-        # normal picture source.
-        if shm.read_header(desc.region).magic != shm.MAGIC:
+        # normal picture source. The rest of the header was validated at
+        # registration and is used from desc.header.
+        if shm.read_magic(desc.region) != shm.MAGIC:
             raise ValueError("client header lost its magic")
         handle = desc.queue.take_for_display(QueueMode.FLUSH)
         if handle is not None:
@@ -380,6 +400,7 @@ class CompositorServer:
             submitted = min(max(handle.sequence - desc.last_frame_seq, 0),
                             desc.queue.depth)
             desc.fps_window.append((now, submitted))
+            desc.fps_frames += submitted
             desc.last_frame_seq = handle.sequence
             # Hold the new frame before releasing the old one, so a failed
             # release leaves disconnect() a slot to hand back.

@@ -9,6 +9,12 @@ buffer, so a view can be rebuilt on either side at any time.
 Status records are 16 bytes each, 16-byte aligned:
   +0  status   u32 LE   (FREE=0, UPDATING=1, READY=2, DRAWING=3)
   +8  sequence u64 LE   (set once per submission, strictly increasing)
+
+Each operation costs a fixed handful of Python steps: acquire and take
+read every record in one `unpack_from` and compare plain ints, submit
+and release read the one status word they check, and each slot's
+`Surface` is built on first use and cached with the view. A status
+outside FREE..DRAWING raises ValueError.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from .errors import ProtocolViolation
 from .pixel import PixelFormat, Surface, SurfaceGeometry
@@ -31,6 +37,11 @@ class FrameState(enum.IntEnum):
     UPDATING = 1
     READY = 2
     DRAWING = 3
+
+
+# Plain-int aliases: the per-operation comparisons below run on raw
+# record words, and an int compare skips the enum attribute lookups.
+_FREE, _UPDATING, _READY, _DRAWING = map(int, FrameState)
 
 
 class QueueMode(enum.Enum):
@@ -69,9 +80,12 @@ class FrameQueue:
         self.depth = depth
         self.geometry = geometry
         self.format = PixelFormat(fmt)
+        # status, sequence of slot 0, status, sequence of slot 1, ...
+        self._records = struct.Struct("<" + "I4xQ" * depth)
+        self._surfaces: List[Optional[Surface]] = [None] * depth
         # Sequences never reset, so the producer counter is recoverable
         # from the buffer after a reattach.
-        self._next_seq = max(self.sequence(i) for i in range(depth)) + 1
+        self._next_seq = max(self._read()[1::2]) + 1
 
     # -- record access ----------------------------------------------------
 
@@ -80,35 +94,53 @@ class FrameQueue:
             raise IndexError(f"slot {index} out of range")
         return self._status_offset + index * STATUS_RECORD_SIZE
 
+    def _read(self) -> tuple:
+        return self._records.unpack_from(self._buf, self._status_offset)
+
+    def _checked_read(self) -> tuple:
+        """Every status and sequence, flattened; ValueError for a status
+        outside FREE..DRAWING."""
+        records = self._read()
+        worst = max(records[::2])
+        if worst > _DRAWING:
+            raise ValueError(f"{worst} is not a valid FrameState")
+        return records
+
+    def _status_word(self, index: int) -> int:
+        return _STATUS.unpack_from(self._buf, self._rec(index))[0]
+
+    def _set_status(self, index: int, state: int) -> None:
+        _STATUS.pack_into(self._buf, self._rec(index), state)
+
     def status(self, index: int) -> FrameState:
-        return FrameState(_STATUS.unpack_from(self._buf, self._rec(index))[0])
+        return FrameState(self._status_word(index))
 
     def sequence(self, index: int) -> int:
         return _SEQ.unpack_from(self._buf, self._rec(index) + 8)[0]
 
-    def _set_status(self, index: int, state: FrameState) -> None:
-        _STATUS.pack_into(self._buf, self._rec(index), int(state))
-
-    def _set_sequence(self, index: int, seq: int) -> None:
-        _SEQ.pack_into(self._buf, self._rec(index) + 8, seq)
-
     def statuses(self) -> tuple:
-        return tuple(self.status(i) for i in range(self.depth))
+        return tuple(FrameState(s) for s in self._read()[::2])
 
     def surface(self, index: int) -> Surface:
+        """The slot's pixels: one Surface per slot, built on first use."""
         self._rec(index)
-        return Surface(self._pix, self.geometry, self.format,
-                       offset=self._data_offset + index * self._stride)
+        surface = self._surfaces[index]
+        if surface is None:
+            surface = self._surfaces[index] = Surface(
+                self._pix, self.geometry, self.format,
+                offset=self._data_offset + index * self._stride)
+        return surface
 
     # -- producer side ----------------------------------------------------
 
     def acquire_frame(self) -> Optional[FrameHandle]:
-        """Move one FREE slot to UPDATING; None when no slot is FREE."""
-        for i in range(self.depth):
-            if self.status(i) == FrameState.FREE:
-                self._set_status(i, FrameState.UPDATING)
-                return FrameHandle(i, 0, self.surface(i))
-        return None
+        """Move the first FREE slot to UPDATING; None when no slot is FREE."""
+        states = self._checked_read()[::2]
+        if _FREE not in states:
+            return None
+        i = states.index(_FREE)
+        self._set_status(i, _UPDATING)
+        return FrameHandle(i, 0, self.surface(i))
 
     def submit_frame(self, handle: FrameHandle) -> None:
         """Publish an UPDATING slot: assign the next sequence, mark READY.
@@ -116,13 +148,13 @@ class FrameQueue:
         The sequence write precedes the status write so any party that
         observes READY also observes the frame's pixels and sequence.
         """
-        if self.status(handle.index) != FrameState.UPDATING:
+        status = self._status_word(handle.index)
+        if status != _UPDATING:
             raise ProtocolViolation(
-                f"slot {handle.index} is {self.status(handle.index).name}, not UPDATING"
-            )
+                f"slot {handle.index} is {FrameState(status).name}, not UPDATING")
         seq = self._next_seq
-        self._set_sequence(handle.index, seq)
-        self._set_status(handle.index, FrameState.READY)
+        _SEQ.pack_into(self._buf, self._rec(handle.index) + 8, seq)
+        self._set_status(handle.index, _READY)
         self._next_seq = seq + 1
         handle.sequence = seq
 
@@ -130,23 +162,24 @@ class FrameQueue:
 
     def take_for_display(self, mode: QueueMode) -> Optional[FrameHandle]:
         """ORDERED: oldest READY slot. FLUSH: newest, freeing the rest."""
-        ready = [(self.sequence(i), i) for i in range(self.depth)
-                 if self.status(i) == FrameState.READY]
+        records = self._checked_read()
+        ready = [(records[2 * i + 1], i) for i in range(self.depth)
+                 if records[2 * i] == _READY]
         if not ready:
             return None
-        if mode == QueueMode.ORDERED:
+        if mode is QueueMode.ORDERED:
             seq, idx = min(ready)
         else:
             seq, idx = max(ready)
             for _, stale in ready:
                 if stale != idx:
-                    self._set_status(stale, FrameState.FREE)
-        self._set_status(idx, FrameState.DRAWING)
+                    self._set_status(stale, _FREE)
+        self._set_status(idx, _DRAWING)
         return FrameHandle(idx, seq, self.surface(idx))
 
     def release_frame(self, handle: FrameHandle) -> None:
-        if self.status(handle.index) != FrameState.DRAWING:
+        status = self._status_word(handle.index)
+        if status != _DRAWING:
             raise ProtocolViolation(
-                f"slot {handle.index} is {self.status(handle.index).name}, not DRAWING"
-            )
-        self._set_status(handle.index, FrameState.FREE)
+                f"slot {handle.index} is {FrameState(status).name}, not DRAWING")
+        self._set_status(handle.index, _FREE)

@@ -13,6 +13,7 @@ composition is opaque copy.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -45,8 +46,11 @@ def channel_offsets(fmt: PixelFormat) -> dict:
     return dict(_CHANNEL_OFFSETS[PixelFormat(fmt)])
 
 
+@functools.cache
 def channel_permutation(src: PixelFormat, dst: PixelFormat) -> tuple:
-    """perm such that dst_bytes[i] = src_bytes[perm[i]] preserves channels."""
+    """perm such that dst_bytes[i] = src_bytes[perm[i]] preserves channels.
+
+    Memoized: there are 16 format pairs, and every blit asks for one."""
     so = _CHANNEL_OFFSETS[PixelFormat(src)]
     do = _CHANNEL_OFFSETS[PixelFormat(dst)]
     perm = [0, 0, 0, 0]

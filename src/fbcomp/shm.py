@@ -217,6 +217,11 @@ def read_header(region) -> HeaderFields:
     return h
 
 
+def read_magic(region) -> int:
+    """The magic word alone: what the server rereads on every tick."""
+    return _U32.unpack_from(region, OFF_MAGIC)[0]
+
+
 def _frame_stride(h: HeaderFields) -> int:
     if h.frame_padding <= 0 or h.frame_padding & (h.frame_padding - 1):
         return 0
@@ -364,20 +369,19 @@ def client_attach(region, *, clock: Optional[Clock] = None,
 # -- private-area accessors -----------------------------------------------
 
 def read_heartbeat(region, h: HeaderFields) -> int:
-    return _U64.unpack_from(memoryview(region), h.private_offset + PRIV_HEARTBEAT)[0]
+    return _U64.unpack_from(region, h.private_offset + PRIV_HEARTBEAT)[0]
 
 def write_heartbeat(region, h: HeaderFields, value: int) -> None:
-    _U64.pack_into(memoryview(region), h.private_offset + PRIV_HEARTBEAT, value)
+    _U64.pack_into(region, h.private_offset + PRIV_HEARTBEAT, value)
 
 def negotiated_format(region, h: HeaderFields) -> PixelFormat:
-    return PixelFormat(_U32.unpack_from(memoryview(region),
-                                        h.private_offset + PRIV_FORMAT)[0])
+    return PixelFormat(_U32.unpack_from(region, h.private_offset + PRIV_FORMAT)[0])
 
 def read_detach_flag(region, h: HeaderFields) -> int:
-    return _U32.unpack_from(memoryview(region), h.private_offset + PRIV_DETACH)[0]
+    return _U32.unpack_from(region, h.private_offset + PRIV_DETACH)[0]
 
 def write_detach_flag(region, h: HeaderFields, value: int) -> None:
-    _U32.pack_into(memoryview(region), h.private_offset + PRIV_DETACH, value)
+    _U32.pack_into(region, h.private_offset + PRIV_DETACH, value)
 
 
 def allocate_region(config: RegionConfig) -> tuple:

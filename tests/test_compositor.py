@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from fbcomp import compositor, shm
+from fbcomp import compositor, regions, shm
 from fbcomp.client import connect_session
 from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
@@ -27,7 +27,7 @@ def make_server(width=400, height=300, clock=None, sink=None,
     geometry = SurfaceGeometry(width, height, compute_pitch(width, PixelFormat.R8G8B8A8))
     target = CompositionTarget(geometry, PixelFormat.R8G8B8A8,
                                background=0x101010FF)
-    return CompositorServer(target, sink, clock), sink
+    return CompositorServer(target, sink, clock, fps_window_us), sink
 
 
 def make_client(clock, width=64, height=64, fmt=PixelFormat.R8G8B8A8,
@@ -39,6 +39,12 @@ def make_client(clock, width=64, height=64, fmt=PixelFormat.R8G8B8A8,
     buf, _ = shm.allocate_region(config)
     shm.publish(buf)
     return buf, connect_session(buf, clock)
+
+
+def forge_slot(buf, index, status, sequence):
+    """Overwrite one slot's status record, as a client may."""
+    offset = shm.read_header(buf).frame_offset + index * STATUS_RECORD_SIZE
+    struct.pack_into("<I4xQ", buf, offset, int(status), sequence)
 
 
 def forge_ready_sequence(buf, session, sequence):
@@ -187,6 +193,45 @@ class TestCompose:
         # target is R8G8B8A8: channels must come out by name, not by position
         assert tuple(server.target.surface.pixels()[0, 0]) == (10, 20, 30, 255)
 
+    def test_client_pixels_visible_through_readonly_cached_view(self):
+        # The server reads pixels through its own read-only mapping of the
+        # region and keeps one surface per slot across takes; every take
+        # must still show what the client last wrote through its mapping.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        config = shm.RegionConfig(
+            geometry=SurfaceGeometry(64, 64, compute_pitch(64, PixelFormat.R8G8B8A8)),
+            formats=(PixelFormat.R8G8B8A8,), framerate=30,
+            timeout_us=TIMEOUT_US, queue_depth=2, frame_padding=64)
+        name = regions.region_name("test-cache", "x")
+        region = regions.create_region(name, shm.required_region_size(config))
+        mapping = None
+        try:
+            shm.encode_header(config, region.buf)
+            shm.publish(region.buf)
+            desc = server.register_client(region.buf, Rect(0, 0, 64, 64), 1,
+                                          pixel_buf=region.readonly_buf)
+            mapping = regions.open_region(name)
+            session = connect_session(mapping.buf, clock)
+            seen = set()
+            for i in range(6):
+                submit(session, i)
+                rep = server.compose_once(clock.now_us())
+                assert rep.clients[0].outcome == "new"
+                assert not desc.held.surface.writable
+                assert desc.held.surface is desc.queue.surface(desc.held.index)
+                seen.add(desc.held.index)
+                expected = Surface.allocate(desc.queue.geometry, PixelFormat.R8G8B8A8)
+                render_pattern(expected, i)
+                assert np.array_equal(server.target.surface.pixels()[:64, :64],
+                                      expected.pixels()), i
+            assert seen == {0, 1}
+        finally:
+            if mapping is not None:
+                mapping.close()
+            region.close()
+            region.unlink()
+
 
 class TestWatchdog:
     def test_silent_client_disconnected_after_timeout(self):
@@ -303,6 +348,74 @@ class TestFramerate:
         server.compose_once(clock.now_us())
         assert desc.fps_window[-1][1] == 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_running_count_matches_window_sum(self, seed):
+        # Several hundred ticks of random submit counts, forged and
+        # backward sequences, checks exactly at the window edge and
+        # disconnect/reconnect over the same region. The running count
+        # must equal the window's sum, and every decision the sum's.
+        rng = random.Random(seed)
+        window = 200_000
+        clock = SimClock()
+        server, _ = make_server(clock=clock, fps_window_us=window)
+        buf, a = make_client(clock, depth=3, timeout_us=10_000_000)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 20)
+        entries = []              # (t, frames) as the old code summed them
+        seen = dict.fromkeys(("keep", "disconnect", "edge", "forged",
+                              "backward", "reconnect"), 0)
+        t = 0
+        for tick in range(400):
+            if entries and rng.random() < 0.2:
+                t = max(t + 1, entries[0][0] + window)   # drop it exactly
+                seen["edge"] += entries[0][0] + window == t
+            else:
+                t += rng.randrange(5_000, 40_000)
+            clock.advance_to(t)
+            if desc.state is ClientState.DISCONNECTED:
+                shm.write_detach_flag(buf, desc.header, 0)
+                desc = server.reconnect_client(desc.id, buf)
+                entries = []
+                seen["reconnect"] += 1
+            for _ in range(rng.choice([0, 0, 1, 1, 1, 2, 3])):
+                if a.try_begin_frame() is not None:
+                    a.end_frame()
+            ready = [i for i, st in enumerate(a.queue.statuses())
+                     if st is FrameState.READY]
+            roll = rng.random()
+            if ready and roll < 0.10:
+                # rewrite the newest READY slot's sequence
+                index = max(ready, key=a.queue.sequence)
+                if roll < 0.05:
+                    forge_slot(buf, index, FrameState.READY,
+                               desc.last_frame_seq + 10**6)
+                    seen["forged"] += 1
+                else:
+                    forge_slot(buf, index, FrameState.READY,
+                               max(desc.last_frame_seq - 2, 0))
+                    seen["backward"] += 1
+            rep = server.compose_once(t)
+            if rep.clients[0].outcome == "new":
+                entries.append(desc.fps_window[-1])
+            if rng.random() < 0.02:
+                server.disconnect(desc, "watchdog", t)
+            active = desc.state is ClientState.ACTIVE
+            if active:
+                entries = [e for e in entries if e[0] > t - window]
+            frames = sum(n for _, n in entries)
+            if not active:
+                expected = "disconnect"
+            elif t - desc.connected_at_us < window or frames * 1e6 / window >= 20:
+                expected = "keep"
+            else:
+                expected = "disconnect"
+            decision = server.check_framerate(desc, t)
+            assert decision == expected, tick
+            assert list(desc.fps_window) == entries, tick
+            assert desc.fps_frames == sum(n for _, n in desc.fps_window), tick
+            if active:
+                seen[decision] += 1
+        assert all(seen.values()), seen
+
     def test_reconnect_first_take_counts_at_most_depth(self):
         clock = SimClock()
         server, _ = make_server(clock=clock)
@@ -346,6 +459,28 @@ class TestReconnect:
         other, _ = make_client(clock)
         with pytest.raises(AlreadyConnected):
             server.reconnect_client(desc.id, other)
+
+    def test_retired_id_not_registered_again(self):
+        # C is retired by B's registration over its area; its id must not
+        # come back for another client, or events would mix the two.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        c_buf, _ = make_client(clock)
+        dc = server.register_client(c_buf, Rect(0, 0, 64, 64), 1)
+        server.disconnect(dc, "watchdog")
+        b_buf, _ = make_client(clock)
+        db = server.register_client(b_buf, Rect(0, 0, 64, 64), 1)
+        other, _ = make_client(clock)
+        with pytest.raises(AlreadyConnected, match="retired"):
+            server.register_client(other, Rect(200, 200, 64, 64), 1,
+                                   client_id=dc.id)
+        assert set(server.clients) == {db.id}
+        # A registered id still reconnects.
+        server.disconnect(db, "watchdog")
+        shm.write_detach_flag(b_buf, db.header, 0)
+        assert server.reconnect_client(db.id, b_buf).state is ClientState.ACTIVE
+        assert [(e.client_id, e.reason) for e in server.events] == \
+            [(dc.id, "watchdog"), (db.id, "watchdog")]
 
     def test_reconnect_unknown_id(self):
         server, _ = make_server()
@@ -638,6 +773,27 @@ class TestDamage:
         assert rep.clients[0].outcome == "held"
         assert np.array_equal(server.target.surface.pixels(), presented)
         assert sink.checksums()[-1] == checksum
+
+    def test_drawing_slot_flipped_to_ready_is_repainted(self):
+        # The client hands the slot the server holds back as READY with a
+        # higher sequence: the same slot, so the same cached surface, is
+        # taken again, and its new pixels must be painted.
+        clock = SimClock()
+        server, sink = make_server(clock=clock)
+        buf, a = make_client(clock)
+        server.register_client(buf, Rect(0, 10, 64, 64), 1)
+        submit(a, 3)
+        server.compose_once(clock.now_us())
+        fill_drawing_slot(a)
+        (index,) = [i for i, st in enumerate(a.queue.statuses())
+                    if st is FrameState.DRAWING]
+        forge_slot(buf, index, FrameState.READY, 99)
+        rep = server.compose_once(clock.now_us())
+        assert (rep.clients[0].outcome, rep.clients[0].sequence) == ("new", 99)
+        target = server.target.surface
+        assert (target.pixels()[10:74, :64] == 255).all()
+        assert target.damage == (10, 74)
+        assert sink.checksums()[-1] == frame_checksum(target)
 
     def test_register_does_not_reread_held_frames(self):
         clock = SimClock()

@@ -6,7 +6,7 @@ import zlib
 import pytest
 
 from fbcomp.errors import ProtocolViolation
-from fbcomp.frame_queue import FrameState, QueueMode
+from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState, QueueMode
 from queue_model import explore, make_queue
 
 
@@ -120,6 +120,50 @@ class TestConsumerSide:
         q.release_frame(old)
         again = q.acquire_frame()
         assert again is not None and again.index == old.index
+
+
+class TestRecords:
+    def test_surface_cached_per_slot(self):
+        q = make_queue(3)
+        for i in range(3):
+            assert q.surface(i) is q.surface(i)
+        assert len({id(q.surface(i)) for i in range(3)}) == 3
+        h = q.acquire_frame()
+        assert h.surface is q.surface(h.index)
+        q.submit_frame(h)
+        taken = q.take_for_display(QueueMode.FLUSH)
+        assert taken.surface is q.surface(taken.index)
+        with pytest.raises(IndexError):
+            q.surface(-1)
+        with pytest.raises(IndexError):
+            q.surface(3)
+
+    def test_bad_status_raises_value_error(self):
+        buf = bytearray(3 * STATUS_RECORD_SIZE + 3 * 4)
+        q = make_queue(3, buf)
+        h = q.acquire_frame()
+        q.submit_frame(h)
+        # slot 2 is FREE and after the READY slot: every status counts
+        buf[2 * STATUS_RECORD_SIZE:2 * STATUS_RECORD_SIZE + 4] = \
+            (4).to_bytes(4, "little")
+        with pytest.raises(ValueError):
+            q.take_for_display(QueueMode.FLUSH)
+        with pytest.raises(ValueError):
+            q.acquire_frame()
+        with pytest.raises(ValueError):
+            q.statuses()
+
+    def test_reattached_view_continues_sequences(self):
+        buf = bytearray(2 * STATUS_RECORD_SIZE + 2 * 4)
+        q = make_queue(2, buf)
+        for _ in range(3):
+            h = q.acquire_frame()
+            q.submit_frame(h)
+            q.release_frame(q.take_for_display(QueueMode.FLUSH))
+        again = make_queue(2, buf)
+        h = again.acquire_frame()
+        again.submit_frame(h)
+        assert h.sequence == 4
 
 
 class TestModelCheck:
