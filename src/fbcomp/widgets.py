@@ -4,13 +4,22 @@ render_counters is a pure function of (t, complexity, geometry): same
 inputs, byte-identical output, on any machine. The animation repeats
 every ANIMATION_PERIOD seconds. Per-frame pixel work scales linearly
 with `complexity`, which is what the overhead benchmarks lean on.
+
+It draws straight into the surface, channel by channel at the format's
+byte offsets, with no scratch frame. What it keeps between frames lives
+in `_grid_cache`, one entry per (width, height): the float32 fields and
+scratch of the interference pass, and the dial ring's and needle disc's
+flat pixel indices sorted by their overlay key, so that each frame tests
+only the points near the ticks and the needle.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .pixel import PixelFormat, Surface, channel_permutation
+from .pixel import PixelFormat, Surface, channel_offsets, pack_channels
 
 ANIMATION_PERIOD = 8.0
 MIN_SIDE = 64
@@ -29,10 +38,28 @@ _DIGITS = {
     "9": ("###", "# #", "###", "  #", "###"),
 }
 
+# Per-size render state, keyed by (width, height); see _grids. The only
+# cache the renderer keeps, so clearing it makes the next frame of every
+# size pay a cold build.
 _grid_cache = {}
+
+# Half-widths of the overlay tests below, and the slack added around them
+# when picking the sorted points that can pass. Float32 rounding moves a
+# test value by about 1e-6, far less than the slack.
+_TICK_WIDTH = 0.45
+_SWEEP_HALF = 0.04
+_SLACK = 0.01
 
 
 def _grids(w: int, h: int):
+    """Build, or fetch, the state for a w x h dial.
+
+    Holds the float32 angle, radius and mix fields of the interference
+    pass, its three scratch buffers, and for each overlay its points in
+    key order: the ring's flat pixel indices sorted by tick phase
+    ("ring_frac", in [0, 5]) and the needle disc's sorted by angle
+    ("inner_ang", in [-pi, pi]).
+    """
     key = (w, h)
     cached = _grid_cache.get(key)
     if cached is None:
@@ -40,25 +67,28 @@ def _grids(w: int, h: int):
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
         ang = np.arctan2(yy - cy, xx - cx)
         rad = np.hypot(xx - cx, yy - cy) / (min(w, h) / 2.0)
-        ring = (rad > 0.62) & (rad < 0.86)
-        inner = rad < 0.6
-        ang60 = ang * (60.0 / (2.0 * np.pi))
+        ring = np.flatnonzero((rad > 0.62) & (rad < 0.86))
+        inner = np.flatnonzero(rad < 0.6)
+        ring_frac = (ang.ravel()[ring] * (60.0 / (2.0 * np.pi))) % 5.0
+        inner_ang = ang.ravel()[inner]
+        # A window picks points by key value, so the order among equal
+        # keys does not matter: the default sort, not the far slower
+        # stable one.
+        ring_order = np.argsort(ring_frac)
+        inner_order = np.argsort(inner_ang)
         cached = {
             "ang": ang,
             "rad": rad,
             "mix": ang * 3.0 + rad * 7.0,
-            # Overlays only touch the dial ring and the needle disc, so
-            # keep flat index lists and per-point angles for just those.
-            "ring_idx": np.nonzero(ring),
-            "ring_frac": ang60[ring] % 5.0,
-            "inner_idx": np.nonzero(inner),
-            "inner_ang": ang[inner],
+            "ring_idx": ring[ring_order],
+            "ring_frac": ring_frac[ring_order],
+            "inner_idx": inner[inner_order],
+            "inner_ang": inner_ang[inner_order],
             # Scratch reused across frames: keeps the per-frame working
             # set small, which matters when several renderers share a core.
             "acc": np.empty_like(rad),
             "wave": np.empty_like(rad),
             "tmp": np.empty_like(rad),
-            "rgba": np.empty((h, w, 4), np.uint8),
         }
         if len(_grid_cache) > 8:
             _grid_cache.clear()
@@ -66,23 +96,55 @@ def _grids(w: int, h: int):
     return cached
 
 
+def _window(keys: np.ndarray, spans) -> np.ndarray:
+    """Positions in sorted `keys` of the values inside any of `spans`."""
+    # Bounds in the keys' dtype: float64 bounds would make searchsorted
+    # copy the whole key array up to float64 on every call.
+    ends = np.searchsorted(keys, np.array(spans, keys.dtype))
+    return np.concatenate([np.arange(a, b) for a, b in ends])
+
+
+def _paint(px: np.ndarray, flat: np.ndarray, fmt: PixelFormat, rgba) -> None:
+    """Set the pixels at flat indices `flat` (y * width + x) to `rgba`."""
+    rows, cols = np.divmod(flat, px.shape[1])
+    px[rows, cols] = np.frombuffer(
+        pack_channels(fmt, *rgba).to_bytes(4, "little"), np.uint8)
+
+
 def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
-    """Animated dial with rotating ticks and a two-digit counter."""
+    """Animated dial with rotating ticks and a two-digit counter.
+
+    Draws straight into `surface.pixels()`: each channel goes to its byte
+    offset for the surface's format, so no scratch frame is kept or
+    copied, every pixel is written whatever the slot held before, and the
+    row padding is left alone. All checks run before the first write, so
+    a rejected call leaves the surface as it was.
+
+    The tick and needle tests are the full-frame ones, run only on the
+    points whose sorted key lies within the test's width plus _SLACK of
+    where it can pass, wraps at 5.0 and at +-pi included. Every point
+    outside that window fails the test by more than float32 rounding can
+    move it, so the output is the same as testing every point.
+    """
     g = surface.geometry
     if g.width < MIN_SIDE or g.height < MIN_SIDE:
         raise ValueError(f"surface {g.width}x{g.height} below {MIN_SIDE}x{MIN_SIDE}")
     if complexity < 1:
         raise ValueError("complexity must be a positive integer")
-    tt = float(t) % ANIMATION_PERIOD
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    tt = t % ANIMATION_PERIOD
     phase01 = tt / ANIMATION_PERIOD
     grids = _grids(g.width, g.height)
     ang, rad = grids["ang"], grids["rad"]
 
     # Interference field; each complexity step is one more full-surface
-    # pass, written with in-place ops over shared scratch buffers.
-    acc, wave, tmp = grids["acc"], grids["wave"], grids["tmp"]
-    acc[:] = 0.0
+    # pass, written with in-place ops over shared scratch buffers. Pass 0
+    # writes into acc itself.
+    acc, tmp = grids["acc"], grids["tmp"]
     for i in range(complexity):
+        wave = acc if i == 0 else grids["wave"]
         p = 2.0 * np.pi * phase01 * (i + 1)
         np.multiply(ang, 6 + 2 * i, out=wave)
         wave += p
@@ -107,42 +169,47 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
         tmp *= 0.25
         tmp += 0.75
         wave *= tmp
-        acc += wave
+        if i:
+            acc += wave
     acc /= complexity
 
-    rgba = grids["rgba"]
+    fmt = surface.format
+    off = channel_offsets(fmt)
+    px = surface.pixels()
     acc += 1.25
     acc *= 100.0
     base = acc.astype(np.uint8)
-    rgba[..., 0] = base
-    rgba[..., 1] = 40 + (base >> 1)
-    rgba[..., 2] = 255 - base
-    rgba[..., 3] = 255
+    px[..., off["r"]] = base
+    px[..., off["g"]] = 40 + (base >> 1)
+    px[..., off["b"]] = 255 - base
+    px[..., off["a"]] = 255
 
-    # Dial: 60 ticks rotating one revolution per period.
+    # Dial: 60 ticks rotating one revolution per period. A point ticks
+    # when ring_frac + shift, taken mod 5, is below _TICK_WIDTH.
     shift = (60.0 * phase01) % 5.0
-    frac = grids["ring_frac"] + shift
+    keys = grids["ring_frac"]
+    win = _window(keys, [(k - shift - _SLACK, k - shift + _TICK_WIDTH + _SLACK)
+                         for k in (0.0, 5.0)])
+    frac = keys[win] + shift
     frac = np.where(frac >= 5.0, frac - 5.0, frac)
-    tick = frac < 0.45
-    rows, cols = grids["ring_idx"]
-    rgba[rows[tick], cols[tick]] = (255, 255, 255, 255)
+    tick = frac < _TICK_WIDTH
+    _paint(px, grids["ring_idx"][win[tick]], fmt, (255, 255, 255, 255))
 
-    # Needle sweep.
+    # Needle sweep: disc points within _SWEEP_HALF of the needle's angle.
     needle_ang = 2.0 * np.pi * phase01 - np.pi
-    delta = (grids["inner_ang"] - needle_ang + np.pi) % (2.0 * np.pi) - np.pi
-    sweep = np.abs(delta) < 0.04
-    rows, cols = grids["inner_idx"]
-    rgba[rows[sweep], cols[sweep]] = (255, 220, 0, 255)
+    keys = grids["inner_ang"]
+    reach = _SWEEP_HALF + _SLACK
+    win = _window(keys, [(needle_ang + k - reach, needle_ang + k + reach)
+                         for k in (-2.0 * np.pi, 0.0, 2.0 * np.pi)])
+    delta = (keys[win] - needle_ang + np.pi) % (2.0 * np.pi) - np.pi
+    sweep = np.abs(delta) < _SWEEP_HALF
+    _paint(px, grids["inner_idx"][win[sweep]], fmt, (255, 220, 0, 255))
 
-    _draw_counter(rgba, int(tt * 12.5) % 100)
-
-    perm = channel_permutation(PixelFormat.R8G8B8A8, surface.format)
-    out = rgba if perm == (0, 1, 2, 3) else rgba[..., list(perm)]
-    surface.pixels()[:] = out
+    _draw_counter(px, int(tt * 12.5) % 100)
 
 
-def _draw_counter(rgba: np.ndarray, value: int) -> None:
-    h, w = rgba.shape[:2]
+def _draw_counter(px: np.ndarray, value: int) -> None:
+    h, w = px.shape[:2]
     cell = max(2, min(w, h) // 48)
     x = cell * 2
     y = cell * 2
@@ -151,8 +218,9 @@ def _draw_counter(rgba: np.ndarray, value: int) -> None:
         for row, bits in enumerate(glyph):
             for col, bit in enumerate(bits):
                 if bit == "#":
-                    rgba[y + row * cell:y + (row + 1) * cell,
-                         x + col * cell:x + (col + 1) * cell] = (255, 255, 255, 255)
+                    # White has the same bytes in every format.
+                    px[y + row * cell:y + (row + 1) * cell,
+                       x + col * cell:x + (col + 1) * cell] = (255, 255, 255, 255)
         x += cell * 4
 
 

@@ -1,7 +1,10 @@
+import math
 import time
 
+import numpy as np
 import pytest
 
+from counters_oracle import render_counters_reference
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, compute_pitch
 from fbcomp.widgets import ANIMATION_PERIOD, render_counters, render_pattern
 
@@ -39,13 +42,41 @@ class TestCounters:
         with pytest.raises(ValueError):
             render_counters(make_surface(), 0.0, 0)
 
-    def test_format_independent_content(self):
+    @pytest.mark.parametrize("fmt", list(PixelFormat), ids=lambda f: f.name)
+    def test_format_independent_content(self, fmt):
         # Same scene, different byte orders: channels must agree by name.
         a = make_surface(fmt=PixelFormat.R8G8B8A8)
-        b = make_surface(fmt=PixelFormat.A8B8G8R8)
+        b = make_surface(fmt=fmt)
         render_counters(a, 2.0, 1)
         render_counters(b, 2.0, 1)
         assert a.tight_bytes(PixelFormat.R8G8B8A8) == b.tight_bytes(PixelFormat.R8G8B8A8)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_leaves_surface_untouched(self, t):
+        surface = make_surface(100, PixelFormat.B8G8R8A8)
+        surface.buffer()[:] = np.random.default_rng(7).integers(
+            0, 256, surface.buffer().size, dtype=np.uint8)
+        before = surface.buffer().tobytes()
+        with pytest.raises(ValueError):
+            render_counters(surface, t, 2)
+        assert surface.buffer().tobytes() == before
+
+    @pytest.mark.parametrize("fmt", list(PixelFormat), ids=lambda f: f.name)
+    def test_slot_content_does_not_leak_into_frame(self, fmt):
+        # Queue slots are reused: every pixel must be written whatever the
+        # slot held, and the row padding past width * 4 left as it was.
+        w, h, pad = 100, 77, 64
+        geometry = SurfaceGeometry(w, h, w * 4 + pad)
+        clean = Surface.allocate(geometry, fmt)
+        dirty = Surface.allocate(geometry, fmt)
+        junk = np.random.default_rng(int(fmt)).integers(
+            0, 256, geometry.frame_bytes, dtype=np.uint8)
+        dirty.buffer()[:] = junk
+        render_counters(clean, 5.3, 2)
+        render_counters(dirty, 5.3, 2)
+        assert dirty.tight_bytes() == clean.tight_bytes()
+        rows = dirty.buffer().reshape(h, w * 4 + pad)
+        assert np.array_equal(rows[:, w * 4:], junk.reshape(h, -1)[:, w * 4:])
 
     def test_complexity_scales_render_time_roughly_linearly(self):
         # Trend check, not a constant: doubling complexity should about
@@ -67,6 +98,32 @@ class TestCounters:
                 best[complexity] = min(best[complexity], measure(complexity))
         ratio = best[8] / best[4]
         assert 1.5 <= ratio <= 2.5, f"complexity scaling ratio {ratio:.2f}"
+
+
+# Needle at -pi (t = 0) and at +pi (t just below the period); tick shift
+# 60 * phase % 5 just below 5 and just above 0; and one time in between.
+EDGE_TIMES = [0.0, math.nextafter(ANIMATION_PERIOD, 0.0), 2 / 3 - 1e-6,
+              2 / 3 + 1e-6, 3.3]
+
+
+@pytest.mark.parametrize("width,height", [(64, 64), (100, 77), (333, 201), (768, 768)])
+def test_matches_reference_renderer(width, height):
+    # The windowed overlays and the direct slot write must reproduce the
+    # full-frame renderer byte for byte, row padding included.
+    shifts = [(60.0 * (t % ANIMATION_PERIOD) / ANIMATION_PERIOD) % 5.0
+              for t in EDGE_TIMES]
+    assert 4.99 < shifts[2] < 5.0 and 0.0 < shifts[3] < 0.01
+    for fmt in PixelFormat:
+        for pitch in (width * 4, width * 4 + 64):
+            geometry = SurfaceGeometry(width, height, pitch)
+            for complexity in (1, 2, 3):
+                for t in EDGE_TIMES:
+                    got = Surface.allocate(geometry, fmt)
+                    want = Surface.allocate(geometry, fmt)
+                    render_counters(got, t, complexity)
+                    render_counters_reference(want, t, complexity)
+                    assert got.buffer().tobytes() == want.buffer().tobytes(), (
+                        f"{fmt.name} pitch {pitch} complexity {complexity} t {t!r}")
 
 
 class TestPattern:
