@@ -46,9 +46,9 @@ class ClientSession:
     expose the same surface-filling API; only presentation differs."""
 
     def __init__(self, context: FramebufferContext, queue: FrameQueue,
-                 clock: Optional[Clock] = None, *,
+                 clock: Optional[Clock] = None, *, region,
+                 header: shm.HeaderFields,
                  health_monitor: Optional[HealthMonitor] = None,
-                 region=None, header: Optional[shm.HeaderFields] = None,
                  sink=None):
         self.context = context
         self.queue = queue
@@ -120,8 +120,7 @@ class ClientSession:
     def heartbeat(self) -> None:
         """Advance the liveness counter the server's watchdog observes."""
         self._heartbeat += 1
-        if self._region is not None and self._header is not None:
-            shm.write_heartbeat(self._region, self._header, self._heartbeat)
+        shm.write_heartbeat(self._region, self._header, self._heartbeat)
 
     def poll_watchdog(self, now_us: Optional[int] = None) -> str:
         """'ok' before the deadline; 'expired' after, with the health
@@ -161,9 +160,7 @@ class ClientSession:
     # -- internals ---------------------------------------------------------
 
     def _check_connected(self) -> None:
-        if (self.mode == "composited" and self._region is not None
-                and self._header is not None
-                and shm.read_detach_flag(self._region, self._header)):
+        if shm.read_detach_flag(self._region, self._header):
             raise SessionLost("server has disconnected this session")
 
 
@@ -176,9 +173,8 @@ def open_direct_session(context: FramebufferContext, sink,
         framerate=context.framerate, timeout_us=context.timeout_us,
         queue_depth=context.queue_depth,
     )
-    region, _ = shm.allocate_region(config)
+    region, header = shm.allocate_region(config)
     shm.publish(region)
-    header = shm.read_header(region)
     queue = shm.queue_view(memoryview(region), header, context.format)
     return ClientSession(context, queue, clock, health_monitor=health_monitor,
                          region=memoryview(region), header=header, sink=sink)

@@ -83,7 +83,6 @@ class ClientDescriptor:
     header: shm.HeaderFields
     queue: FrameQueue
     placement: Rect
-    format: PixelFormat
     min_fps: float
     timeout_us: int
     state: ClientState = ClientState.ACTIVE
@@ -108,7 +107,6 @@ class ClientReport:
 class ComposeReport:
     t_us: int
     clients: List[ClientReport]
-    presented: bool = True
 
 
 class CompositionTarget:
@@ -200,11 +198,12 @@ class CompositorServer:
         else:
             self._next_id = max(self._next_id, client_id + 1)
         now = self.clock.now_us()
-        fmt = self._client_format(region, header)
-        queue = shm.queue_view(region, header, fmt, pixel_buf=pixel_buf)
+        queue = shm.queue_view(region, header,
+                               self._client_format(region, header),
+                               pixel_buf=pixel_buf)
         desc = ClientDescriptor(
             id=client_id, region=memoryview(region), header=header,
-            queue=queue, placement=placement, format=fmt,
+            queue=queue, placement=placement,
             min_fps=min_fps, timeout_us=header.timeout_us,
             # Sequences never reset, so a reconnected region's first take
             # counts only what was submitted after this point.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -141,31 +141,36 @@ class Rect:
                     or self.y + self.height <= other.y or other.y + other.height <= self.y)
 
 
-@dataclass(frozen=True)
-class FramebufferContext:
-    """Read-only descriptor of an output surface.
+def check_timing(framerate: int, timeout_us: int, queue_depth: int) -> None:
+    """Raise ValueError unless the rates and depth make a usable queue.
 
-    timeout_us is the watchdog budget; it must cover at least two frame
+    The timeout is the watchdog budget; it must cover at least two frame
     periods so a single missed frame never trips the watchdog.
     """
+    if framerate <= 0:
+        raise ValueError(f"framerate must be positive, got {framerate}")
+    if timeout_us <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout_us}us")
+    if not 1 <= queue_depth <= 8:
+        raise ValueError(f"queue depth must be in 1..8, got {queue_depth}")
+    min_timeout = 2 * (1_000_000 // framerate)
+    if timeout_us < min_timeout:
+        raise ValueError(
+            f"timeout {timeout_us}us below two frame periods ({min_timeout}us)")
+
+
+@dataclass(frozen=True)
+class FramebufferContext:
+    """Read-only descriptor of an output surface; see `check_timing`."""
 
     geometry: SurfaceGeometry
     format: PixelFormat
     framerate: int
     timeout_us: int
     queue_depth: int
-    private_handle: Optional[object] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.framerate <= 0:
-            raise ValueError("framerate must be positive")
-        if not 1 <= self.queue_depth <= 8:
-            raise ValueError(f"queue depth must be in 1..8, got {self.queue_depth}")
-        min_timeout = 2 * (1_000_000 // self.framerate)
-        if self.timeout_us < min_timeout:
-            raise ValueError(
-                f"timeout {self.timeout_us}us below two frame periods ({min_timeout}us)"
-            )
+        check_timing(self.framerate, self.timeout_us, self.queue_depth)
 
     @property
     def frame_period_us(self) -> int:

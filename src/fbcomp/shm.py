@@ -4,6 +4,11 @@ All multi-byte fields are little-endian regardless of host, so client
 and server may run on different architectures. Only offsets appear in
 the region, never addresses; the mapping base may differ per process.
 
+The 60-byte header is one `struct.Struct("<6IQ7I")`, and `HeaderFields`
+is its only parsed form, its fields in byte order plus the format table.
+`layout_for` returns the header a region carries (with ready = 0),
+`encode_header` writes it and `read_header` reads it back.
+
 Region layout (offsets from region start):
 
   0   ready           u32  (0 = not ready, 1 = ready; written last by server)
@@ -32,35 +37,29 @@ Private area contents (implementation-defined, zero-initialized):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import List, Optional
 
 from .clock import Clock, WallClock
 from .errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                      ServerUnavailable)
 from .frame_queue import STATUS_RECORD_SIZE, FrameQueue
-from .pixel import BYTES_PER_PIXEL, FramebufferContext, PixelFormat, SurfaceGeometry
+from .pixel import (BYTES_PER_PIXEL, FramebufferContext, PixelFormat,
+                    SurfaceGeometry, check_timing)
 
 MAGIC = 0x4A464243  # "JFBC"
-HEADER_SIZE = 60
 FORMAT_TABLE_OFFSET = 64
 PRIVATE_AREA_SIZE = 256
 DEFAULT_FRAME_PADDING = 4096
 
+_HEADER = struct.Struct("<6IQ7I")  # the fields of HeaderFields, in order
+HEADER_SIZE = _HEADER.size
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_PARAMS = struct.Struct("<IIIIQ")  # width, height, pitch, framerate, timeout
 
 OFF_READY = 0
 OFF_MAGIC = 4
-OFF_PARAMS = 8
-OFF_FORMAT_COUNT = 32
-OFF_FORMAT_OFFSET = 36
-OFF_FRAME_COUNT = 40
-OFF_FRAME_OFFSET = 44
-OFF_FRAME_PADDING = 48
-OFF_FRAME_DATA_OFFSET = 52
-OFF_PRIVATE_OFFSET = 56
 
 PRIV_FORMAT = 0
 PRIV_HEARTBEAT = 8
@@ -87,93 +86,13 @@ class RegionConfig:
             raise ValueError("at least one pixel format is required")
         if self.frame_padding <= 0 or self.frame_padding & (self.frame_padding - 1):
             raise ValueError("framePadding must be a power of two")
-        if not 1 <= self.queue_depth <= 8:
-            raise ValueError("queue depth must be in 1..8")
-        if self.framerate <= 0 or self.timeout_us <= 0:
-            raise ValueError("framerate and timeout must be positive")
-        if self.timeout_us < 2 * (1_000_000 // self.framerate):
-            raise ValueError("timeout must cover at least two frame periods")
-
-
-@dataclass(frozen=True)
-class RegionLayout:
-    format_offset: int
-    format_count: int
-    frame_offset: int
-    frame_count: int
-    frame_padding: int
-    frame_data_offset: int
-    frame_stride: int
-    private_offset: int
-    required_size: int
-
-
-def layout_for(config: RegionConfig) -> RegionLayout:
-    format_offset = FORMAT_TABLE_OFFSET
-    frame_offset = _round_up(format_offset + 4 * len(config.formats), STATUS_RECORD_SIZE)
-    private_offset = frame_offset + STATUS_RECORD_SIZE * config.queue_depth
-    frame_data_offset = _round_up(private_offset + PRIVATE_AREA_SIZE, config.frame_padding)
-    frame_stride = _round_up(config.geometry.frame_bytes, config.frame_padding)
-    required = frame_data_offset + config.queue_depth * frame_stride
-    return RegionLayout(
-        format_offset=format_offset,
-        format_count=len(config.formats),
-        frame_offset=frame_offset,
-        frame_count=config.queue_depth,
-        frame_padding=config.frame_padding,
-        frame_data_offset=frame_data_offset,
-        frame_stride=frame_stride,
-        private_offset=private_offset,
-        required_size=required,
-    )
-
-
-def required_region_size(config: RegionConfig) -> int:
-    return layout_for(config).required_size
-
-
-def encode_header(config: RegionConfig, region) -> RegionLayout:
-    """Lay out the whole region with ready = 0.
-
-    Publication is a separate step (`publish`) so every other field is
-    in place before any client can observe ready = 1.
-    """
-    buf = memoryview(region)
-    lay = layout_for(config)
-    if len(buf) < lay.required_size:
-        raise RegionTooSmall(lay.required_size, len(buf))
-    g = config.geometry
-    _U32.pack_into(buf, OFF_READY, 0)
-    _U32.pack_into(buf, OFF_MAGIC, MAGIC)
-    _PARAMS.pack_into(buf, OFF_PARAMS, g.width, g.height, g.pitch,
-                      config.framerate, config.timeout_us)
-    _U32.pack_into(buf, OFF_FORMAT_COUNT, lay.format_count)
-    _U32.pack_into(buf, OFF_FORMAT_OFFSET, lay.format_offset)
-    _U32.pack_into(buf, OFF_FRAME_COUNT, lay.frame_count)
-    _U32.pack_into(buf, OFF_FRAME_OFFSET, lay.frame_offset)
-    _U32.pack_into(buf, OFF_FRAME_PADDING, lay.frame_padding)
-    _U32.pack_into(buf, OFF_FRAME_DATA_OFFSET, lay.frame_data_offset)
-    _U32.pack_into(buf, OFF_PRIVATE_OFFSET, lay.private_offset)
-    for i, fmt in enumerate(config.formats):
-        _U32.pack_into(buf, lay.format_offset + 4 * i, int(PixelFormat(fmt)))
-    buf[lay.frame_offset:lay.frame_offset + STATUS_RECORD_SIZE * lay.frame_count] = \
-        bytes(STATUS_RECORD_SIZE * lay.frame_count)
-    buf[lay.private_offset:lay.private_offset + PRIVATE_AREA_SIZE] = bytes(PRIVATE_AREA_SIZE)
-    return lay
-
-
-def publish(region) -> None:
-    """Flip ready to 1. Must be the last write before clients attach."""
-    _U32.pack_into(memoryview(region), OFF_READY, 1)
-
-
-def is_published(region) -> bool:
-    buf = memoryview(region)
-    return len(buf) >= 4 and _U32.unpack_from(buf, OFF_READY)[0] == 1
+        check_timing(self.framerate, self.timeout_us, self.queue_depth)
 
 
 @dataclass
 class HeaderFields:
+    """The header's fields in byte order, then the format table's tags."""
+
     ready: int
     magic: int
     width: int
@@ -190,42 +109,89 @@ class HeaderFields:
     private_offset: int
     formats: List[int] = field(default_factory=list)
 
+    @property
+    def frame_stride(self) -> int:
+        """round_up(pitch * height, framePadding); 0 when framePadding is
+        not a power of two."""
+        pad = self.frame_padding
+        if pad <= 0 or pad & (pad - 1):
+            return 0
+        return _round_up(self.pitch * self.height, pad)
+
+    @property
+    def required_size(self) -> int:
+        return self.frame_data_offset + self.frame_count * self.frame_stride
+
+
+# The values _HEADER packs: every field of HeaderFields but `formats`.
+_header_values = attrgetter(*(f.name for f in fields(HeaderFields)[:-1]))
+
+
+def layout_for(config: RegionConfig) -> HeaderFields:
+    """The header a region for `config` carries, with ready = 0."""
+    g = config.geometry
+    frame_offset = _round_up(FORMAT_TABLE_OFFSET + 4 * len(config.formats),
+                             STATUS_RECORD_SIZE)
+    private_offset = frame_offset + STATUS_RECORD_SIZE * config.queue_depth
+    return HeaderFields(
+        ready=0, magic=MAGIC, width=g.width, height=g.height, pitch=g.pitch,
+        framerate=config.framerate, timeout_us=config.timeout_us,
+        format_count=len(config.formats), format_offset=FORMAT_TABLE_OFFSET,
+        frame_count=config.queue_depth, frame_offset=frame_offset,
+        frame_padding=config.frame_padding,
+        frame_data_offset=_round_up(private_offset + PRIVATE_AREA_SIZE,
+                                    config.frame_padding),
+        private_offset=private_offset,
+        formats=[int(PixelFormat(f)) for f in config.formats])
+
+
+def required_region_size(config: RegionConfig) -> int:
+    return layout_for(config).required_size
+
+
+def encode_header(config: RegionConfig, region) -> HeaderFields:
+    """Lay out the whole region with ready = 0; return its header.
+
+    Publication is a separate step (`publish`) so every other field is
+    in place before any client can observe ready = 1.
+    """
+    buf = memoryview(region)
+    h = layout_for(config)
+    if len(buf) < h.required_size:
+        raise RegionTooSmall(h.required_size, len(buf))
+    _HEADER.pack_into(buf, 0, *_header_values(h))
+    struct.pack_into(f"<{h.format_count}I", buf, h.format_offset, *h.formats)
+    buf[h.frame_offset:h.frame_offset + STATUS_RECORD_SIZE * h.frame_count] = \
+        bytes(STATUS_RECORD_SIZE * h.frame_count)
+    buf[h.private_offset:h.private_offset + PRIVATE_AREA_SIZE] = bytes(PRIVATE_AREA_SIZE)
+    return h
+
+
+def publish(region) -> None:
+    """Flip ready to 1. Must be the last write before clients attach."""
+    _U32.pack_into(memoryview(region), OFF_READY, 1)
+
+
+def is_published(region) -> bool:
+    buf = memoryview(region)
+    return len(buf) >= 4 and _U32.unpack_from(buf, OFF_READY)[0] == 1
+
 
 def read_header(region) -> HeaderFields:
     """Parse raw header fields with bounds checking only; no validation."""
     buf = memoryview(region)
     if len(buf) < HEADER_SIZE:
         raise CorruptRegion(f"region of {len(buf)} bytes cannot hold a {HEADER_SIZE}-byte header")
-    width, height, pitch, framerate, timeout = _PARAMS.unpack_from(buf, OFF_PARAMS)
-    h = HeaderFields(
-        ready=_U32.unpack_from(buf, OFF_READY)[0],
-        magic=_U32.unpack_from(buf, OFF_MAGIC)[0],
-        width=width, height=height, pitch=pitch,
-        framerate=framerate, timeout_us=timeout,
-        format_count=_U32.unpack_from(buf, OFF_FORMAT_COUNT)[0],
-        format_offset=_U32.unpack_from(buf, OFF_FORMAT_OFFSET)[0],
-        frame_count=_U32.unpack_from(buf, OFF_FRAME_COUNT)[0],
-        frame_offset=_U32.unpack_from(buf, OFF_FRAME_OFFSET)[0],
-        frame_padding=_U32.unpack_from(buf, OFF_FRAME_PADDING)[0],
-        frame_data_offset=_U32.unpack_from(buf, OFF_FRAME_DATA_OFFSET)[0],
-        private_offset=_U32.unpack_from(buf, OFF_PRIVATE_OFFSET)[0],
-    )
+    h = HeaderFields(*_HEADER.unpack_from(buf))
     end = h.format_offset + 4 * h.format_count
     if h.format_offset >= HEADER_SIZE and end <= len(buf) and h.format_count <= 64:
-        h.formats = [_U32.unpack_from(buf, h.format_offset + 4 * i)[0]
-                     for i in range(h.format_count)]
+        h.formats = list(struct.unpack_from(f"<{h.format_count}I", buf, h.format_offset))
     return h
 
 
 def read_magic(region) -> int:
     """The magic word alone: what the server rereads on every tick."""
     return _U32.unpack_from(region, OFF_MAGIC)[0]
-
-
-def _frame_stride(h: HeaderFields) -> int:
-    if h.frame_padding <= 0 or h.frame_padding & (h.frame_padding - 1):
-        return 0
-    return _round_up(h.pitch * h.height, h.frame_padding)
 
 
 def validate_region(region) -> List[str]:
@@ -288,7 +254,7 @@ def validate_region(region) -> List[str]:
     else:
         spans.append((h.private_offset, priv_end, "private area"))
 
-    stride = _frame_stride(h)
+    stride = h.frame_stride
     if stride and 1 <= h.frame_count <= 8:
         data_end = h.frame_data_offset + h.frame_count * stride
         if (h.frame_data_offset < HEADER_SIZE or data_end > size
@@ -319,14 +285,16 @@ def queue_view(region, h: HeaderFields, fmt: PixelFormat,
     geometry = SurfaceGeometry(h.width, h.height, h.pitch)
     return FrameQueue(region, status_offset=h.frame_offset,
                       data_offset=h.frame_data_offset,
-                      frame_stride=_frame_stride(h),
+                      frame_stride=h.frame_stride,
                       depth=h.frame_count, geometry=geometry, fmt=fmt,
                       pixel_buf=pixel_buf)
 
 
+_ATTACH_POLL_US = 1_000  # how often an attaching client rereads ready
+
+
 def client_attach(region, *, clock: Optional[Clock] = None,
                   attach_timeout_us: int = 1_000_000,
-                  poll_interval_us: int = 1_000,
                   preferred_format: Optional[PixelFormat] = None):
     """Client-side attach: poll ready, validate, negotiate a format.
 
@@ -339,7 +307,7 @@ def client_attach(region, *, clock: Optional[Clock] = None,
         if clock.now_us() >= deadline:
             raise ServerUnavailable(
                 f"region not published within {attach_timeout_us}us")
-        clock.sleep_us(poll_interval_us)
+        clock.sleep_us(_ATTACH_POLL_US)
 
     h = read_header(buf)
     if h.magic != MAGIC:
@@ -385,8 +353,6 @@ def write_detach_flag(region, h: HeaderFields, value: int) -> None:
 
 
 def allocate_region(config: RegionConfig) -> tuple:
-    """Convenience: allocate an in-memory region, encode, return (buf, layout)."""
-    lay = layout_for(config)
-    buf = bytearray(lay.required_size)
-    encode_header(config, buf)
-    return buf, lay
+    """Convenience: allocate an in-memory region, encode, return (buf, header)."""
+    buf = bytearray(required_region_size(config))
+    return buf, encode_header(config, buf)

@@ -37,8 +37,14 @@ class TestTrajectory:
 
         monkeypatch.setattr(traj, "run_once", fake_run_once)
         monkeypatch.setattr(traj, "ROOT", tmp_path)
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "a.py").write_text("x = 1\n\n   \ny = 2\n")
+        (pkg / "b.py").write_text("# one\n")
+        (pkg / "notes.txt").write_text("not counted\n")
         assert traj.main(["--tag", "t"]) == 0
         point = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert point["src_lines"] == 3
         assert point["host"]["crc32"] == sinks.CRC32_BACKEND
         assert set(point["workloads"]) == set(traj.WORKLOADS)
         for wl in traj.WORKLOADS:

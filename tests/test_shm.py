@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -8,7 +9,8 @@ from fbcomp.clock import SimClock
 from fbcomp.errors import (IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
-from fbcomp.pixel import PixelFormat, SurfaceGeometry, compute_pitch
+from fbcomp.pixel import (FramebufferContext, PixelFormat, SurfaceGeometry,
+                          compute_pitch)
 
 
 def small_config(**kw):
@@ -81,6 +83,88 @@ class TestLayout:
         with pytest.raises(RegionTooSmall) as exc:
             shm.encode_header(config, bytearray(need - 1))
         assert exc.value.required == need
+
+
+# One fixed region, recorded as bytes: a field that moves, resizes or
+# changes endianness fails here, which no encode/read round trip can show.
+GOLDEN_CONFIG = dict(
+    geometry=SurfaceGeometry.for_width(768, 768),
+    formats=(PixelFormat.R8G8B8A8, PixelFormat.B8G8R8A8),
+    framerate=60, timeout_us=1_000_000, queue_depth=3, frame_padding=4096)
+GOLDEN_HEADER = bytes.fromhex(
+    "00000000" "4342464a"          # ready 0, magic "JFBC"
+    "00030000" "00030000"          # width 768, height 768
+    "000c0000" "3c000000"          # pitch 3072, framerate 60
+    "40420f0000000000"             # timeout 1_000_000 us (u64)
+    "02000000" "40000000"          # formatCount 2, formatOffset 64
+    "03000000" "50000000"          # frameCount 3, frameOffset 80
+    "00100000" "00100000"          # framePadding 4096, frameDataOffset 4096
+    "80000000")                    # privateOffset 128
+GOLDEN_FORMAT_TABLE = bytes.fromhex("00000000" "01000000")
+GOLDEN_SIZE = 4096 + 3 * 2_359_296
+
+
+class TestGoldenBytes:
+    def test_header_and_format_table(self):
+        buf, _ = shm.allocate_region(shm.RegionConfig(**GOLDEN_CONFIG))
+        assert shm.HEADER_SIZE == len(GOLDEN_HEADER) == 60
+        assert bytes(buf[:shm.HEADER_SIZE]) == GOLDEN_HEADER
+        assert bytes(buf[64:72]) == GOLDEN_FORMAT_TABLE
+        assert len(buf) == GOLDEN_SIZE
+
+    def test_read_header_equals_layout(self):
+        rng = random.Random(4321)
+        for _ in range(200):
+            config = random_config(rng)
+            buf, header = shm.allocate_region(config)
+            assert shm.read_header(buf) == shm.layout_for(config) == header
+            assert header.ready == 0 and len(buf) == header.required_size
+
+    def test_stride_zero_for_bad_padding(self):
+        header = shm.layout_for(small_config())
+        assert dataclasses.replace(header, frame_padding=96).frame_stride == 0
+        assert dataclasses.replace(header, frame_padding=0).frame_stride == 0
+
+
+def _region_config(framerate, timeout_us, depth, **kw):
+    return small_config(framerate=framerate, timeout_us=timeout_us,
+                        queue_depth=depth, **kw)
+
+
+def _context(framerate, timeout_us, depth):
+    return FramebufferContext(SurfaceGeometry.for_width(64, 48),
+                              PixelFormat.R8G8B8A8, framerate, timeout_us, depth)
+
+
+class TestTimingRule:
+    # (framerate, timeout_us, depth); both constructors share one rule.
+    BAD = {
+        "depth-0": (30, 100_000, 0),
+        "depth-9": (30, 100_000, 9),
+        "framerate-0": (0, 100_000, 2),
+        "timeout-0-at-2MHz": (2_000_000, 0, 1),
+        "timeout-1us-short": (60, 33_331, 2),
+    }
+
+    @pytest.mark.parametrize("make", [_region_config, _context],
+                             ids=["RegionConfig", "FramebufferContext"])
+    @pytest.mark.parametrize("values", list(BAD.values()), ids=list(BAD))
+    def test_rejected(self, make, values):
+        with pytest.raises(ValueError):
+            make(*values)
+
+    @pytest.mark.parametrize("make", [_region_config, _context],
+                             ids=["RegionConfig", "FramebufferContext"])
+    def test_boundaries_accepted(self, make):
+        make(60, 33_332, 1)
+        make(60, 33_332, 8)
+        make(2_000_000, 1, 1)
+
+    @pytest.mark.parametrize("kw", [dict(frame_padding=3000), dict(formats=())],
+                             ids=["padding-3000", "no-formats"])
+    def test_region_config_only(self, kw):
+        with pytest.raises(ValueError):
+            _region_config(30, 100_000, 2, **kw)
 
 
 class TestAttach:
@@ -165,7 +249,7 @@ class TestValidate:
         buf, lay = shm.allocate_region(small_config())
         shm.publish(buf)
         # point the frame status array into the format table
-        struct.pack_into("<I", buf, shm.OFF_FRAME_OFFSET, lay.format_offset)
+        struct.pack_into("<I", buf, 44, lay.format_offset)  # frameOffset
         found = [v for v in shm.validate_region(buf)
                  if "format table" in v and "frame status" in v]
         assert found
@@ -180,8 +264,7 @@ class TestValidate:
 
     def test_misaligned_frame_data(self):
         buf, lay = shm.allocate_region(small_config())
-        struct.pack_into("<I", buf, shm.OFF_FRAME_DATA_OFFSET,
-                         lay.frame_data_offset + 4)
+        struct.pack_into("<I", buf, 52, lay.frame_data_offset + 4)  # frameDataOffset
         assert any("aligned" in v or "outside" in v
                    for v in shm.validate_region(buf))
 

@@ -9,8 +9,9 @@ workload of layerbench/run.py it makes one untraced run per seed in SEEDS
 run.py's default `--seconds`, each in a process of its own and one after
 the other. It writes at the root of the checkout the median of every
 end-to-end metric with its per-run values, the per-layer metrics of the
-traced run, the wall-clock seconds of each run, and the host: Python,
-numpy, nproc, platform and the CRC-32 backend
+traced run, the wall-clock seconds of each run, the number of non-blank
+lines in `src/**/*.py` (`src_lines`, the size of the program measured),
+and the host: Python, numpy, nproc, platform and the CRC-32 backend
 (`fbcomp.sinks.CRC32_BACKEND`). Seeds and run length are fixed so that
 every point means the same thing. Times are layerbench's host-scaled
 values; compare points made on the same host in the same sitting.
@@ -59,6 +60,12 @@ def host() -> dict:
             "platform": platform.platform(), "crc32": sinks.CRC32_BACKEND}
 
 
+def src_lines() -> int:
+    """Non-blank lines of every Python file under src/."""
+    return sum(1 for path in sorted((ROOT / "src").rglob("*.py"))
+               for line in path.read_text().splitlines() if line.strip())
+
+
 def workload_point(workload: str) -> dict:
     plain = [run_once(workload, seed, 0) for seed in SEEDS]
     traced = run_once(workload, TRACED_SEED, 1)
@@ -84,7 +91,8 @@ def main(argv=None) -> int:
                     help="names the output file BENCH_<tag>.json")
     args = ap.parse_args(argv)
     point = {"tag": args.tag, "host": host(), "seeds": list(SEEDS),
-             "traced_seed": TRACED_SEED, "workloads": {}}
+             "traced_seed": TRACED_SEED, "src_lines": src_lines(),
+             "workloads": {}}
     for workload in WORKLOADS:
         print(f"{workload} ...", file=sys.stderr, flush=True)
         point["workloads"][workload] = workload_point(workload)
