@@ -23,7 +23,6 @@ claim is about.
 
 from __future__ import annotations
 
-import configparser
 import json
 import platform
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ class BenchConfig:
     client_count: int = 2
     format: PixelFormat = PixelFormat.R8G8B8A8
     complexity: int = 2
-    phase_duration_s: float = 5.0
+    duration_s: float = 5.0
     # One queue slot is always pinned by the server's held frame, so a
     # deeper queue keeps free-running clients from stalling on a slot.
     queue_depth: int = 5
@@ -59,22 +58,9 @@ class BenchConfig:
 
 
 def load_bench_config(path) -> BenchConfig:
-    cp = configparser.ConfigParser()
-    cp.read_string(Path(path).read_text())
-    b = cp["bench"] if cp.has_section("bench") else {}
-    return BenchConfig(
-        target_width=int(b.get("target_width", 1600)),
-        target_height=int(b.get("target_height", 900)),
-        client_width=int(b.get("client_width", 768)),
-        client_height=int(b.get("client_height", 768)),
-        client_count=int(b.get("client_count", 2)),
-        format=PixelFormat[b.get("format", "R8G8B8A8")],
-        complexity=int(b.get("complexity", 2)),
-        phase_duration_s=float(b.get("duration", 5.0)),
-        queue_depth=int(b.get("queue_depth", 5)),
-        sink=b.get("sink", "checksum"),
-        compose_rate=float(b["compose_rate"]) if "compose_rate" in b else None,
-    )
+    """The [bench] section of a suite file; its keys follow `BenchConfig`."""
+    sections = scenario.read_sections(Path(path).read_text(), "bench")
+    return scenario.from_section(BenchConfig, sections.get("bench", {}))
 
 
 @dataclass
@@ -144,7 +130,7 @@ class BenchmarkReport:
                 "client": [self.config.client_width, self.config.client_height],
                 "client_count": self.config.client_count,
                 "complexity": self.config.complexity,
-                "phase_duration_s": self.config.phase_duration_s,
+                "phase_duration_s": self.config.duration_s,
                 "sink": self.config.sink,
             },
             "direct_fps": self.direct_fps,
@@ -258,7 +244,7 @@ def run_benchmark(config: Optional[BenchConfig] = None) -> BenchmarkReport:
     report = BenchmarkReport(
         machine=f"{platform.platform()} / {platform.processor() or platform.machine()}",
         config=config)
-    dur = config.phase_duration_s
+    dur = config.duration_s
     # Short warmup so numpy code paths and caches are hot before timing.
     measure_direct(config, min(1.0, dur))
     # Interleave the single-process phases in short alternating slices:

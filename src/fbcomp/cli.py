@@ -53,7 +53,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     config = bench.load_bench_config(args.suite) if args.suite else bench.BenchConfig()
     if args.duration is not None:
-        config = replace(config, phase_duration_s=args.duration)
+        config = replace(config, duration_s=args.duration)
     if args.sink:
         config = replace(config, sink=args.sink)
     report = bench.run_benchmark(config)

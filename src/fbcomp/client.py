@@ -18,7 +18,7 @@ from . import shm
 from .clock import Clock, WallClock
 from .errors import SessionLost, UsageError
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
-from .pixel import FramebufferContext, PixelFormat, Surface
+from .pixel import FramebufferContext, Surface
 
 HealthMonitor = Callable[[int], None]  # receives the expiry time in us
 
@@ -181,12 +181,10 @@ def open_direct_session(context: FramebufferContext, sink,
 
 
 def connect_session(region, clock: Optional[Clock] = None, *,
-                    preferred_format: Optional[PixelFormat] = None,
                     health_monitor: Optional[HealthMonitor] = None,
                     attach_timeout_us: int = 1_000_000) -> ClientSession:
     """Composited mode: attach to a server-published shared region."""
     context, queue, header = shm.client_attach(
-        region, clock=clock, attach_timeout_us=attach_timeout_us,
-        preferred_format=preferred_format)
+        region, clock=clock, attach_timeout_us=attach_timeout_us)
     return ClientSession(context, queue, clock, health_monitor=health_monitor,
                          region=memoryview(region), header=header)

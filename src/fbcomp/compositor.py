@@ -198,8 +198,7 @@ class CompositorServer:
         else:
             self._next_id = max(self._next_id, client_id + 1)
         now = self.clock.now_us()
-        queue = shm.queue_view(region, header,
-                               self._client_format(region, header),
+        queue = shm.queue_view(region, header, PixelFormat(header.formats[0]),
                                pixel_buf=pixel_buf)
         desc = ClientDescriptor(
             id=client_id, region=memoryview(region), header=header,
@@ -240,15 +239,6 @@ class CompositorServer:
         except Exception:
             self.clients[client_id] = old
             raise
-
-    def _client_format(self, region, header) -> PixelFormat:
-        try:
-            fmt = shm.negotiated_format(region, header)
-        except ValueError:
-            fmt = None
-        if fmt is None or int(fmt) not in header.formats:
-            fmt = PixelFormat(header.formats[0])
-        return fmt
 
     # -- fault policies ----------------------------------------------------
 

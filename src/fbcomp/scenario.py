@@ -30,9 +30,10 @@ import multiprocessing
 import os
 import tempfile
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from . import regions, shm, sinks, widgets
 from .client import ClientSession, connect_session
@@ -84,9 +85,83 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# -- the config schema -----------------------------------------------------
+
+# The config dataclasses are the schema of every INI section: a field's
+# key is its name less any trailing "_s", its type picks its codec and a
+# missing key takes its default. Field metadata "title" marks the field
+# the section title names; "show" overrides how the field is written.
+
+_CODECS = {  # field type: (parse, show)
+    int: (lambda text: int(text, 0), str),
+    float: (float, _fmt),
+    str: (str, str),
+    PixelFormat: (lambda text: PixelFormat[text], lambda fmt: fmt.name),
+    Tuple[FaultAction, ...]: (
+        lambda text: tuple(FaultAction.parse(p)
+                           for p in text.split(",") if p.strip()),
+        lambda faults: ", ".join(a.serialize() for a in faults)),
+}
+
+
+def _codec(tp) -> tuple:
+    """(parse, show) for a field type; empty text is None for Optional[X]."""
+    if get_origin(tp) is not Union:
+        return _CODECS[tp]
+    (inner,) = set(get_args(tp)) - {type(None)}
+    parse, show = _CODECS[inner]
+    return (lambda text: parse(text) if text else None,
+            lambda value: "" if value is None else show(value))
+
+
+def _keyed_fields(cls) -> Dict[str, tuple]:
+    """{INI key: (field name, parse, show)} for each keyed field of `cls`."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if not f.metadata.get("title"):
+            parse, show = _codec(hints[f.name])
+            out[f.name.removesuffix("_s")] = (
+                f.name, parse, f.metadata.get("show", show))
+    return out
+
+
+def to_section(spec) -> Dict[str, str]:
+    """The INI section of a config dataclass: every keyed field, as text."""
+    return {key: show(getattr(spec, name))
+            for key, (name, _, show) in _keyed_fields(type(spec)).items()}
+
+
+def from_section(cls, section: Mapping[str, str], **given):
+    """Build `cls` from an INI section plus the title fields in `given`;
+    a missing key takes its default and an unknown key raises ValueError."""
+    keyed = _keyed_fields(cls)
+    values = dict(given)
+    for key, text in section.items():
+        if key not in keyed:
+            raise ValueError(f"unknown key {key!r} for {cls.__name__}; "
+                             f"known keys: {', '.join(keyed)}")
+        name, parse, _ = keyed[key]
+        values[name] = parse(text)
+    return cls(**values)
+
+
+def read_sections(text: str, *known: str) -> Dict[str, Mapping[str, str]]:
+    """The sections of INI `text` by title, in file order. Each title is
+    one of `known` or starts with a known "<kind>:"; others raise ValueError."""
+    # No title names the empty section, so [DEFAULT] is checked as any other.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
+    cp.read_string(text)
+    for title in cp.sections():
+        kind, colon, _ = title.partition(":")
+        if title not in known and not (colon and kind + ":" in known):
+            raise ValueError(f"unknown section [{title}]")
+    return {title: cp[title] for title in cp.sections()}
+
+
 @dataclass(frozen=True)
 class ClientSpec:
-    name: str
+    name: str = field(metadata={"title": True})
     width: int = 768
     height: int = 768
     x: int = 0
@@ -121,7 +196,8 @@ class TargetSpec:
     height: int = 900
     format: PixelFormat = PixelFormat.R8G8B8A8
     rate: float = 30.0
-    background: int = 0x000000FF
+    background: int = field(default=0x000000FF,
+                            metadata={"show": "0x{:08x}".format})
 
     @property
     def geometry(self) -> SurfaceGeometry:
@@ -135,7 +211,6 @@ class RunSpec:
     clock: str = "sim"               # "sim" | "wall"
     sink: str = "checksum"           # "null" | "checksum" | "images"
     sink_dir: Optional[str] = None
-    session: Optional[str] = None
     watchdog_poll_s: float = 0.01
 
 
@@ -146,83 +221,24 @@ class ScenarioConfig:
     clients: Tuple[ClientSpec, ...] = ()
 
     def serialize(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["target"] = {
-            "width": str(self.target.width),
-            "height": str(self.target.height),
-            "format": self.target.format.name,
-            "rate": _fmt(self.target.rate),
-            "background": f"0x{self.target.background:08x}",
-        }
-        run = {
-            "duration": _fmt(self.run.duration_s),
-            "clock": self.run.clock,
-            "sink": self.run.sink,
-            "watchdog_poll": _fmt(self.run.watchdog_poll_s),
-        }
-        if self.run.sink_dir:
-            run["sink_dir"] = self.run.sink_dir
-        if self.run.session:
-            run["session"] = self.run.session
-        cp["run"] = run
-        for c in self.clients:
-            sec = {
-                "width": str(c.width), "height": str(c.height),
-                "x": str(c.x), "y": str(c.y),
-                "fps": _fmt(c.fps), "queue_depth": str(c.queue_depth),
-                "min_fps": _fmt(c.min_fps), "timeout": _fmt(c.timeout_s),
-                "widget": c.widget, "complexity": str(c.complexity),
-                "format": c.format.name,
-            }
-            if c.faults:
-                sec["faults"] = ", ".join(a.serialize() for a in c.faults)
-            cp[f"client:{c.name}"] = sec
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_dict({"target": to_section(self.target),
+                      "run": to_section(self.run),
+                      **{f"client:{c.name}": to_section(c)
+                         for c in self.clients}})
         out = io.StringIO()
         cp.write(out)
         return out.getvalue()
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    t = cp["target"] if cp.has_section("target") else {}
-    target = TargetSpec(
-        width=int(t.get("width", 1600)),
-        height=int(t.get("height", 900)),
-        format=PixelFormat[t.get("format", "R8G8B8A8")],
-        rate=float(t.get("rate", 30.0)),
-        background=int(t.get("background", "0x000000ff"), 0),
-    )
-    r = cp["run"] if cp.has_section("run") else {}
-    run = RunSpec(
-        duration_s=float(r.get("duration", 5.0)),
-        clock=r.get("clock", "sim"),
-        sink=r.get("sink", "checksum"),
-        sink_dir=r.get("sink_dir") or None,
-        session=r.get("session") or None,
-        watchdog_poll_s=float(r.get("watchdog_poll", 0.01)),
-    )
-    clients = []
-    for section in cp.sections():
-        if not section.startswith("client:"):
-            continue
-        c = cp[section]
-        faults = tuple(FaultAction.parse(p)
-                       for p in c.get("faults", "").split(",") if p.strip())
-        clients.append(ClientSpec(
-            name=section.split(":", 1)[1],
-            width=int(c.get("width", 768)), height=int(c.get("height", 768)),
-            x=int(c.get("x", 0)), y=int(c.get("y", 0)),
-            fps=float(c.get("fps", 48.0)),
-            queue_depth=int(c.get("queue_depth", 3)),
-            min_fps=float(c.get("min_fps", 1.0)),
-            timeout_s=float(c.get("timeout", 0.5)),
-            widget=c.get("widget", "pattern"),
-            complexity=int(c.get("complexity", 1)),
-            format=PixelFormat[c.get("format", "R8G8B8A8")],
-            faults=faults,
-        ))
-    return ScenarioConfig(target=target, run=run, clients=tuple(clients))
+    sections = read_sections(text, "target", "run", "client:")
+    return ScenarioConfig(
+        target=from_section(TargetSpec, sections.get("target", {})),
+        run=from_section(RunSpec, sections.get("run", {})),
+        clients=tuple(from_section(ClientSpec, s, name=title[len("client:"):])
+                      for title, s in sections.items()
+                      if title.startswith("client:")))
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -258,23 +274,11 @@ class ScenarioReport:
         return not self.violations
 
     def to_json(self) -> str:
-        return json.dumps({
-            "duration_us": self.duration_us,
-            "clock": self.clock,
-            "server_frames": self.server_frames,
-            "clients": {
-                name: {
-                    "submitted": c.submitted, "presented": c.presented,
-                    "skipped": c.skipped,
-                    "disconnect": list(c.disconnect) if c.disconnect else None,
-                    "exit_status": c.exit_status,
-                } for name, c in self.clients.items()
-            },
-            "violations": self.violations,
-            "sink": self.sink,
-            "sink_dir": self.sink_dir,
-            "index_path": self.index_path,
-        }, indent=2)
+        out = asdict(self)
+        del out["checksums"]
+        for client in out["clients"].values():
+            del client["name"]
+        return json.dumps(out, indent=2)
 
 
 # -- fault interpretation --------------------------------------------------
@@ -283,44 +287,30 @@ class _FaultState:
     """Per-client interpreter over a time-ordered fault script."""
 
     def __init__(self, spec: ClientSpec):
-        self.actions = sorted(spec.faults, key=lambda a: a.at_s)
-        self.crashed_at: Optional[float] = None
-        self.garbage_at: Optional[float] = None
+        # Of two slow-to actions at one time, the larger fps sorts last and wins.
+        self.actions = sorted(spec.faults, key=lambda a: (a.at_s, a.fps or 0.0))
         self.garbage_done = False
-        self.stalls: List[Tuple[float, float]] = []
-        self.rate_changes: List[Tuple[float, float]] = []
-        for a in self.actions:
-            if a.kind == "crash":
-                self.crashed_at = a.at_s if self.crashed_at is None else \
-                    min(self.crashed_at, a.at_s)
-            elif a.kind == "garbage-header":
-                self.garbage_at = a.at_s if self.garbage_at is None else \
-                    min(self.garbage_at, a.at_s)
-            elif a.kind == "stall":
-                end = math.inf if a.duration_s is None else a.at_s + a.duration_s
-                self.stalls.append((a.at_s, end))
-            elif a.kind == "slow-to":
-                self.rate_changes.append((a.at_s, a.fps))
-        self.rate_changes.sort()
+
+    def _due(self, kind: str, t_s: float) -> bool:
+        return any(a.kind == kind and a.at_s <= t_s for a in self.actions)
 
     def crashed(self, t_s: float) -> bool:
-        return self.crashed_at is not None and t_s >= self.crashed_at
+        return self._due("crash", t_s)
 
     def stalled(self, t_s: float) -> bool:
-        return any(s <= t_s < e for s, e in self.stalls)
+        return any(a.kind == "stall" and a.at_s <= t_s < a.at_s + (
+            math.inf if a.duration_s is None else a.duration_s)
+            for a in self.actions)
 
     def garbage_due(self, t_s: float) -> bool:
-        if self.garbage_done or self.garbage_at is None or t_s < self.garbage_at:
+        if self.garbage_done or not self._due("garbage-header", t_s):
             return False
         self.garbage_done = True
         return True
 
     def fps_at(self, t_s: float, base: float) -> float:
-        fps = base
-        for at, new_fps in self.rate_changes:
-            if t_s >= at:
-                fps = new_fps
-        return fps
+        return next((a.fps for a in reversed(self.actions)
+                     if a.kind == "slow-to" and a.at_s <= t_s), base)
 
 
 def _scribble_header(region) -> None:
@@ -556,8 +546,7 @@ def _client_main(config_text: str, name: str, session_name: str,
 
 
 def _run_wall(config: ScenarioConfig) -> ScenarioReport:
-    session_name = config.run.session or uuid.uuid4().hex[:12]
-    config = replace(config, run=replace(config.run, session=session_name))
+    session_name = uuid.uuid4().hex[:12]
     text = config.serialize()
     ctx = multiprocessing.get_context("fork")
     with tempfile.TemporaryDirectory(prefix="fbcomp-run-") as result_dir:

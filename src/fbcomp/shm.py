@@ -26,8 +26,10 @@ Region layout (offsets from region start):
                              frameStride = round_up(pitch * height, framePadding)
   56  privateOffset   u32  -> 256-byte opaque implementation area
 
+Both ends use the format table's first tag (formats[0]) for every frame.
+
 Private area contents (implementation-defined, zero-initialized):
-  +0  negotiated format tag u32, written by the client during attach
+  +0  unused u32, left zero
   +8  heartbeat counter u64, incremented by the client on every
       submitted frame (single writer: client)
   +16 detach flag u32, set by the server when it disconnects the
@@ -61,7 +63,6 @@ _U64 = struct.Struct("<Q")
 OFF_READY = 0
 OFF_MAGIC = 4
 
-PRIV_FORMAT = 0
 PRIV_HEARTBEAT = 8
 PRIV_DETACH = 16
 
@@ -294,9 +295,8 @@ _ATTACH_POLL_US = 1_000  # how often an attaching client rereads ready
 
 
 def client_attach(region, *, clock: Optional[Clock] = None,
-                  attach_timeout_us: int = 1_000_000,
-                  preferred_format: Optional[PixelFormat] = None):
-    """Client-side attach: poll ready, validate, negotiate a format.
+                  attach_timeout_us: int = 1_000_000):
+    """Client-side attach: poll ready, validate, take the first format.
 
     Returns (FramebufferContext, producer FrameQueue, HeaderFields).
     """
@@ -316,16 +316,7 @@ def client_attach(region, *, clock: Optional[Clock] = None,
     if violations:
         raise CorruptRegion("; ".join(violations))
 
-    supported = [PixelFormat(t) for t in h.formats]
-    if preferred_format is not None:
-        if preferred_format not in supported:
-            raise IncompatibleProtocol(
-                f"format {PixelFormat(preferred_format).name} not offered by server")
-        fmt = PixelFormat(preferred_format)
-    else:
-        fmt = supported[0]
-    _U32.pack_into(buf, h.private_offset + PRIV_FORMAT, int(fmt))
-
+    fmt = PixelFormat(h.formats[0])
     context = FramebufferContext(
         geometry=SurfaceGeometry(h.width, h.height, h.pitch),
         format=fmt, framerate=h.framerate, timeout_us=h.timeout_us,
@@ -341,9 +332,6 @@ def read_heartbeat(region, h: HeaderFields) -> int:
 
 def write_heartbeat(region, h: HeaderFields, value: int) -> None:
     _U64.pack_into(region, h.private_offset + PRIV_HEARTBEAT, value)
-
-def negotiated_format(region, h: HeaderFields) -> PixelFormat:
-    return PixelFormat(_U32.unpack_from(region, h.private_offset + PRIV_FORMAT)[0])
 
 def read_detach_flag(region, h: HeaderFields) -> int:
     return _U32.unpack_from(region, h.private_offset + PRIV_DETACH)[0]

@@ -1,7 +1,42 @@
 import json
 
+import pytest
+
 from fbcomp import sinks
-from fbcomp.bench import BenchConfig, BenchmarkReport
+from fbcomp.bench import BenchConfig, BenchmarkReport, load_bench_config
+
+
+class TestLoadBenchConfig:
+    def load(self, tmp_path, text):
+        path = tmp_path / "suite.cfg"
+        path.write_text(text)
+        return load_bench_config(path)
+
+    def test_empty_file_gives_defaults(self, tmp_path):
+        assert self.load(tmp_path, "") == BenchConfig()
+        assert self.load(tmp_path, "[bench]\n") == BenchConfig()
+
+    def test_duration_key_sets_duration_s(self, tmp_path):
+        config = self.load(tmp_path, "[bench]\nduration = 2.5\nclient_count = 3\n")
+        assert config == BenchConfig(duration_s=2.5, client_count=3)
+
+    def test_compose_rate_stays_optional(self, tmp_path):
+        assert self.load(tmp_path, "[bench]\n").compose_rate is None
+        assert self.load(tmp_path, "[bench]\ncompose_rate =\n").compose_rate is None
+        assert self.load(tmp_path, "[bench]\ncompose_rate = 30\n").compose_rate == 30.0
+
+    @pytest.mark.parametrize("text, named", [
+        ("[bench]\nduraton = 2\n", "'duraton'"),
+        ("[bench]\nphase_duration = 2\n", "'phase_duration'"),
+        ("[bench]\n[target]\nwidth = 10\n", r"\[target\]"),
+    ], ids=["key", "old-key", "section"])
+    def test_unknown_key_or_section_rejected(self, tmp_path, text, named):
+        with pytest.raises(ValueError, match=named):
+            self.load(tmp_path, text)
+
+    def test_report_keeps_phase_duration_key(self):
+        report = BenchmarkReport(machine="host", config=BenchConfig(duration_s=2.0))
+        assert json.loads(report.to_json())["config"]["phase_duration_s"] == 2.0
 
 
 class TestReport:

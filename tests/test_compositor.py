@@ -193,6 +193,26 @@ class TestCompose:
         # target is R8G8B8A8: channels must come out by name, not by position
         assert tuple(server.target.surface.pixels()[0, 0]) == (10, 20, 30, 255)
 
+    def test_two_format_region_uses_first_format(self):
+        # Registered before the client attaches, as every scenario does:
+        # server and client must both read frames as formats[0].
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        config = shm.RegionConfig(
+            geometry=SurfaceGeometry(64, 64, compute_pitch(64, PixelFormat.B8G8R8A8)),
+            formats=(PixelFormat.B8G8R8A8, PixelFormat.R8G8B8A8), framerate=30,
+            timeout_us=TIMEOUT_US, queue_depth=2, frame_padding=64)
+        buf, _ = shm.allocate_region(config)
+        shm.publish(buf)
+        server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        session = connect_session(buf, clock)
+        assert session.context.format is PixelFormat.B8G8R8A8
+        surface = session.try_begin_frame()
+        surface.fill(pack_channels(PixelFormat.B8G8R8A8, 255, 0, 0, 255))
+        session.end_frame()
+        server.compose_once(clock.now_us())
+        assert tuple(server.target.surface.pixels()[0, 0]) == (255, 0, 0, 255)
+
     def test_client_pixels_visible_through_readonly_cached_view(self):
         # The server reads pixels through its own read-only mapping of the
         # region and keeps one surface per slot across takes; every take

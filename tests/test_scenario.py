@@ -1,6 +1,7 @@
 import hashlib
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbcomp import regions, shm
+from fbcomp.bench import BenchConfig
 from fbcomp.pixel import PixelFormat
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
-                             TargetSpec, load_scenario, parse_scenario,
-                             run_scenario)
+                             TargetSpec, from_section, load_scenario,
+                             parse_scenario, run_scenario, to_section)
 
 from test_acceptance import _containment_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Values that survive the INI text: no NaN, no stripped or multi-line text.
+_floats = st.floats(allow_nan=False)
+_names = st.text("abcxyz019_./-", min_size=1, max_size=12)
+_faults = st.tuples(
+    st.sampled_from(["stall", "crash", "garbage-header", "slow-to"]),
+    st.floats(0, 100), st.one_of(st.none(), st.floats(0.001, 50)),
+    st.floats(0.1, 240)).map(lambda k: FaultAction(
+        k[0], k[1], duration_s=k[2] if k[0] == "stall" else None,
+        fps=k[3] if k[0] == "slow-to" else None))
+
+
+def _every_field(cls, **given):
+    """st.builds of `cls` drawing every field: from `given`, else inferred
+    from its type (builds alone leaves defaulted fields at their default)."""
+    return st.builds(cls, **{f.name: given.get(f.name, ...)
+                             for f in fields(cls)})
+
+
+SECTIONS = {
+    TargetSpec: _every_field(TargetSpec, rate=_floats,
+                             background=st.integers(0, 2**32 - 1)),
+    RunSpec: _every_field(RunSpec, duration_s=_floats, clock=_names,
+                          sink=_names, sink_dir=st.none() | _names,
+                          watchdog_poll_s=_floats),
+    ClientSpec: _every_field(ClientSpec, name=_names, fps=_floats,
+                             min_fps=_floats, timeout_s=_floats, widget=_names,
+                             faults=st.lists(_faults, max_size=3).map(tuple)),
+    BenchConfig: _every_field(BenchConfig, duration_s=_floats, sink=_names,
+                              compose_rate=st.none() | _floats),
+}
 
 
 def two_client_config(duration_s=1.0, clock="sim", sink="checksum", **kw):
@@ -39,21 +74,46 @@ class TestConfigFormat:
         )
         assert parse_scenario(config.serialize()) == config
 
+    @pytest.mark.parametrize("cls", list(SECTIONS), ids=lambda c: c.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_section_round_trip(self, cls, data):
+        spec = data.draw(SECTIONS[cls])
+        title = {"name": spec.name} if cls is ClientSpec else {}
+        assert from_section(cls, to_section(spec), **title) == spec
+
+    @settings(max_examples=50, deadline=None)
+    @given(SECTIONS[TargetSpec], SECTIONS[RunSpec],
+           st.lists(SECTIONS[ClientSpec], max_size=3,
+                    unique_by=lambda c: c.name).map(tuple))
+    def test_scenario_text_round_trip(self, target, run, clients):
+        config = ScenarioConfig(target, run, clients)
+        assert parse_scenario(config.serialize()) == config
+
+    @pytest.mark.parametrize("text, named", [
+        ("[target]\nwidht = 10\n", "'widht'"),
+        ("[run]\nduraton = 2\n", "'duraton'"),
+        ("[run]\nduration_s = 2\n", "'duration_s'"),
+        ("[client:a]\nfsp = 30\n", "'fsp'"),
+        ("[client:a]\nname = b\n", "'name'"),
+        ("[targte]\nwidth = 10\n", r"\[targte\]"),
+        ("[client]\nfps = 30\n", r"\[client\]"),
+        ("[DEFAULT]\nfps = 30\n", r"\[DEFAULT\]"),
+    ], ids=["target-key", "run-key", "run-field-name", "client-key",
+            "client-name-key", "section", "untitled-client", "default-section"])
+    def test_unknown_key_or_section_rejected(self, text, named):
+        with pytest.raises(ValueError, match=named):
+            parse_scenario(text)
+
     def test_defaults_from_empty_sections(self):
         config = parse_scenario("[target]\n[run]\n")
         assert config.target == TargetSpec()
         assert config.run == RunSpec()
         assert config.clients == ()
 
-    @given(st.sampled_from(["stall", "crash", "garbage-header", "slow-to"]),
-           st.floats(0, 100, allow_nan=False),
-           st.one_of(st.none(), st.floats(0.001, 50)),
-           st.floats(0.1, 240))
+    @given(_faults)
     @settings(max_examples=100, deadline=None)
-    def test_fault_action_round_trip(self, kind, at, dur, fps):
-        action = FaultAction(kind, at,
-                             duration_s=dur if kind == "stall" else None,
-                             fps=fps if kind == "slow-to" else None)
+    def test_fault_action_round_trip(self, action):
         assert FaultAction.parse(action.serialize()) == action
 
     def test_stall_forever(self):
@@ -68,6 +128,26 @@ class TestConfigFormat:
         config = two_client_config(clock="lunar")
         with pytest.raises(ValueError):
             run_scenario(config)
+
+
+def _repository_ini_files():
+    files = {p.name: p.read_text()
+             for p in sorted((ROOT / "layerbench" / "workloads").glob("*.ini"))}
+    (example,) = re.findall(r"```ini\n(.*?)```",
+                            (ROOT / "README.md").read_text(), re.S)
+    files["README.md"] = example
+    return files
+
+
+class TestRepositoryFiles:
+    """Every scenario file in the repository parses strictly and
+    round-trips through serialize."""
+
+    @pytest.mark.parametrize("name", sorted(_repository_ini_files()))
+    def test_parses_strictly_and_round_trips(self, name):
+        config = parse_scenario(_repository_ini_files()[name])
+        assert config.clients
+        assert parse_scenario(config.serialize()) == config
 
 
 class TestSimEngine:

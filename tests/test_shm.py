@@ -198,22 +198,6 @@ class TestAttach:
             assert header.frame_data_offset == lay.frame_data_offset
             assert header.frame_padding == config.frame_padding
 
-    def test_format_negotiation(self):
-        buf, _ = shm.allocate_region(small_config())
-        shm.publish(buf)
-        context, _, header = shm.client_attach(
-            buf, clock=SimClock(), preferred_format=PixelFormat.B8G8R8A8)
-        assert context.format == PixelFormat.B8G8R8A8
-        assert shm.negotiated_format(buf, header) == PixelFormat.B8G8R8A8
-
-    def test_unoffered_format_rejected(self):
-        buf, _ = shm.allocate_region(
-            small_config(formats=(PixelFormat.R8G8B8A8,)))
-        shm.publish(buf)
-        with pytest.raises(IncompatibleProtocol):
-            shm.client_attach(buf, clock=SimClock(),
-                              preferred_format=PixelFormat.A8R8G8B8)
-
     def test_publication_order_ready_written_last(self):
         # A client observing ready=1 must observe every other header
         # field: encode_header leaves ready at 0 until publish.
