@@ -6,7 +6,10 @@ Subcommands:
   validate <region-dump> structurally validate a region dump file
   replay <index-file>    re-verify an emitted frame sequence
 
-Exit code 0 only when no invariant violations were recorded.
+Exit codes: 0 when no invariant violations, mismatches or malformed
+regions were found, 1 when some were, 2 for a bad command line or a
+scenario or suite file that cannot be read or does not load (one
+`fbcomp: error:` line on stderr, as argparse reports a bad command line).
 """
 
 from __future__ import annotations
@@ -19,8 +22,16 @@ from pathlib import Path
 from . import bench, scenario, shm, sinks
 
 
+def _config_error(path, exc: Exception) -> int:
+    print(f"fbcomp: error: {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    config = scenario.load_scenario(args.scenario)
+    try:
+        config = scenario.load_scenario(args.scenario)
+    except (OSError, ValueError) as exc:
+        return _config_error(args.scenario, exc)
     run = config.run
     if args.sink:
         run = replace(run, sink=args.sink)
@@ -51,7 +62,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = bench.load_bench_config(args.suite) if args.suite else bench.BenchConfig()
+    try:
+        config = (bench.load_bench_config(args.suite) if args.suite
+                  else bench.BenchConfig())
+    except (OSError, ValueError) as exc:
+        return _config_error(args.suite, exc)
     if args.duration is not None:
         config = replace(config, duration_s=args.duration)
     if args.sink:

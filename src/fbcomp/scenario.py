@@ -57,6 +57,9 @@ class FaultAction:
     def __post_init__(self):
         if self.kind not in _FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        if self.kind == "slow-to" and not _positive(self.fps):
+            raise ValueError(f"slow-to fps must be positive and finite, "
+                             f"got {self.fps!r}")
 
     def serialize(self) -> str:
         if self.kind == "stall":
@@ -83,6 +86,16 @@ class FaultAction:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _positive(x) -> bool:
+    return x is not None and math.isfinite(x) and x > 0
+
+
+def _require(ok: bool, section: str, key: str, value, rule: str) -> None:
+    """Reject a config value that breaks `rule`, naming its section and key."""
+    if not ok:
+        raise ValueError(f"[{section}] {key} must be {rule}, got {value!r}")
 
 
 # -- the config schema -----------------------------------------------------
@@ -142,7 +155,11 @@ def from_section(cls, section: Mapping[str, str], **given):
             raise ValueError(f"unknown key {key!r} for {cls.__name__}; "
                              f"known keys: {', '.join(keyed)}")
         name, parse, _ = keyed[key]
-        values[name] = parse(text)
+        try:
+            values[name] = parse(text)
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"bad value {text!r} for key {key!r} of "
+                             f"{cls.__name__}: {exc}") from exc
     return cls(**values)
 
 
@@ -151,7 +168,10 @@ def read_sections(text: str, *known: str) -> Dict[str, Mapping[str, str]]:
     one of `known` or starts with a known "<kind>:"; others raise ValueError."""
     # No title names the empty section, so [DEFAULT] is checked as any other.
     cp = configparser.ConfigParser(interpolation=None, default_section="")
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(" ".join(str(exc).split())) from exc
     for title in cp.sections():
         kind, colon, _ = title.partition(":")
         if title not in known and not (colon and kind + ":" in known):
@@ -174,6 +194,15 @@ class ClientSpec:
     complexity: int = 1
     format: PixelFormat = PixelFormat.R8G8B8A8
     faults: Tuple[FaultAction, ...] = ()
+
+    def __post_init__(self):
+        section = f"client:{self.name}"
+        _require(_positive(self.fps), section, "fps", self.fps,
+                 "positive and finite")
+        _require(math.isfinite(self.min_fps) and self.min_fps >= 0, section,
+                 "min_fps", self.min_fps, "finite and not negative")
+        _require(self.complexity >= 1, section, "complexity", self.complexity,
+                 "at least 1")
 
     @property
     def placement(self) -> Rect:
@@ -198,6 +227,10 @@ class TargetSpec:
     rate: float = 30.0
     background: int = field(default=0x000000FF,
                             metadata={"show": "0x{:08x}".format})
+
+    def __post_init__(self):
+        _require(_positive(self.rate), "target", "rate", self.rate,
+                 "positive and finite")
 
     @property
     def geometry(self) -> SurfaceGeometry:

@@ -1,16 +1,23 @@
 """Software-rendered demo widgets used by the harness and benchmarks.
 
 render_counters is a pure function of (t, complexity, geometry): same
-inputs, byte-identical output, on any machine. The animation repeats
+inputs, same bytes. That is known to hold on x86_64, where the golden
+checksums were made, and not promised elsewhere: the interference field
+reaches about -17 and 265 before its float32-to-uint8 cast, C leaves an
+out-of-range float-to-integer conversion undefined, and numpy's result
+follows the platform's conversion instruction. Clipping before the cast
+would fix that but move every golden checksum. The animation repeats
 every ANIMATION_PERIOD seconds. Per-frame pixel work scales linearly
 with `complexity`, which is what the overhead benchmarks lean on.
 
 It draws straight into the surface, channel by channel at the format's
-byte offsets, with no scratch frame. What it keeps between frames lives
-in `_grid_cache`, one entry per (width, height): the float32 fields and
-scratch of the interference pass, and the dial ring's and needle disc's
-flat pixel indices sorted by their overlay key, so that each frame tests
-only the points near the ticks and the needle.
+byte offsets, with no scratch frame. The field is computed one band of
+rows at a time (about _TILE_PX pixels), and each band is cast and stored
+while its scratch is still in cache. What it keeps between frames lives
+in `_grid_cache`, one entry per (width, height): the float32 fields the
+interference pass reads, one band's scratch, and the dial ring's and
+needle disc's flat pixel indices sorted by their overlay key, so that
+each frame tests only the points near the ticks and the needle.
 """
 
 from __future__ import annotations
@@ -50,15 +57,23 @@ _TICK_WIDTH = 0.45
 _SWEEP_HALF = 0.04
 _SLACK = 0.01
 
+# Pixels per band of the interference field, so that its float32 scratch
+# and the rows of ang, rad and mix it reads (about 1.2 MB) stay in a 2 MiB
+# per-core L2 cache. 64 rows of a 768-wide dial was fastest at complexity 2
+# on a 2-core x86_64 host, over bands of 16 to 768 rows; 128 came close.
+_TILE_PX = 64 * 768
+
 
 def _grids(w: int, h: int):
     """Build, or fetch, the state for a w x h dial.
 
-    Holds the float32 angle, radius and mix fields of the interference
-    pass, its three scratch buffers, and for each overlay its points in
-    key order: the ring's flat pixel indices sorted by tick phase
-    ("ring_frac", in [0, 5]) and the needle disc's sorted by angle
-    ("inner_ang", in [-pi, pi]).
+    Holds the full-frame float32 angle, radius and mix fields of the
+    interference pass; the scratch of one band of min(h, _TILE_PX // w)
+    rows (float32 "acc", "wave" and "tmp", uint8 "base" for the cast and
+    "chan" for the green and blue channels), so no full-frame scratch is
+    kept; and for each overlay its points in key order: the ring's flat
+    pixel indices sorted by tick phase ("ring_frac", in [0, 5]) and the
+    needle disc's sorted by angle ("inner_ang", in [-pi, pi]).
     """
     key = (w, h)
     cached = _grid_cache.get(key)
@@ -76,6 +91,7 @@ def _grids(w: int, h: int):
         # stable one.
         ring_order = np.argsort(ring_frac)
         inner_order = np.argsort(inner_ang)
+        band = (min(h, max(1, _TILE_PX // w)), w)
         cached = {
             "ang": ang,
             "rad": rad,
@@ -84,16 +100,57 @@ def _grids(w: int, h: int):
             "ring_frac": ring_frac[ring_order],
             "inner_idx": inner[inner_order],
             "inner_ang": inner_ang[inner_order],
-            # Scratch reused across frames: keeps the per-frame working
-            # set small, which matters when several renderers share a core.
-            "acc": np.empty_like(rad),
-            "wave": np.empty_like(rad),
-            "tmp": np.empty_like(rad),
+            # Scratch for one band of rows, reused across bands and frames.
+            "acc": np.empty(band, np.float32),
+            "wave": np.empty(band, np.float32),
+            "tmp": np.empty(band, np.float32),
+            "base": np.empty(band, np.uint8),
+            "chan": np.empty(band, np.uint8),
         }
         if len(_grid_cache) > 8:
             _grid_cache.clear()
         _grid_cache[key] = cached
     return cached
+
+
+def _field(acc, wave, tmp, ang, rad, mix, phase01: float, complexity: int):
+    """Interference field of one band of rows, into `acc`.
+
+    Each complexity step is one more pass of in-place ops over the band's
+    scratch; pass 0 writes into acc itself. Every op is pointwise, so a
+    band gets the same values as the same rows of a full-frame pass.
+    """
+    for i in range(complexity):
+        term = acc if i == 0 else wave
+        p = 2.0 * np.pi * phase01 * (i + 1)
+        np.multiply(ang, 6 + 2 * i, out=term)
+        term += p
+        np.sin(term, out=term)
+        np.multiply(rad, (5.0 + i) * np.pi, out=tmp)
+        tmp -= p
+        np.cos(tmp, out=tmp)
+        term *= tmp
+        np.multiply(mix, 1.0 + 0.5 * i, out=tmp)
+        tmp -= p
+        np.sin(tmp, out=tmp)
+        tmp *= 0.25
+        term += tmp
+        np.multiply(mix, 2.0 + 0.25 * i, out=tmp)
+        tmp += p
+        np.cos(tmp, out=tmp)
+        tmp *= 0.20
+        term += tmp
+        np.multiply(rad, 9.0 + i, out=tmp)
+        tmp -= 2.0 * p
+        np.sin(tmp, out=tmp)
+        tmp *= 0.25
+        tmp += 0.75
+        term *= tmp
+        if i:
+            acc += term
+    acc /= complexity
+    acc += 1.25
+    acc *= 100.0
 
 
 def _window(keys: np.ndarray, spans) -> np.ndarray:
@@ -120,6 +177,12 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
     row padding is left alone. All checks run before the first write, so
     a rejected call leaves the surface as it was.
 
+    The interference field runs band by band: the same in-place ufuncs
+    with the same constants, on row slices of the angle, radius and mix
+    fields, into scratch sized for one band. Every op is pointwise, so
+    any band height gives the bytes a full-frame pass gives; the band
+    size only sets how much stays in cache between ops.
+
     The tick and needle tests are the full-frame ones, run only on the
     points whose sorted key lies within the test's width plus _SLACK of
     where it can pass, wraps at 5.0 and at +-pi included. Every point
@@ -137,52 +200,29 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
     tt = t % ANIMATION_PERIOD
     phase01 = tt / ANIMATION_PERIOD
     grids = _grids(g.width, g.height)
-    ang, rad = grids["ang"], grids["rad"]
+    ang, rad, mix = grids["ang"], grids["rad"], grids["mix"]
 
-    # Interference field; each complexity step is one more full-surface
-    # pass, written with in-place ops over shared scratch buffers. Pass 0
-    # writes into acc itself.
-    acc, tmp = grids["acc"], grids["tmp"]
-    for i in range(complexity):
-        wave = acc if i == 0 else grids["wave"]
-        p = 2.0 * np.pi * phase01 * (i + 1)
-        np.multiply(ang, 6 + 2 * i, out=wave)
-        wave += p
-        np.sin(wave, out=wave)
-        np.multiply(rad, (5.0 + i) * np.pi, out=tmp)
-        tmp -= p
-        np.cos(tmp, out=tmp)
-        wave *= tmp
-        np.multiply(grids["mix"], 1.0 + 0.5 * i, out=tmp)
-        tmp -= p
-        np.sin(tmp, out=tmp)
-        tmp *= 0.25
-        wave += tmp
-        np.multiply(grids["mix"], 2.0 + 0.25 * i, out=tmp)
-        tmp += p
-        np.cos(tmp, out=tmp)
-        tmp *= 0.20
-        wave += tmp
-        np.multiply(rad, 9.0 + i, out=tmp)
-        tmp -= 2.0 * p
-        np.sin(tmp, out=tmp)
-        tmp *= 0.25
-        tmp += 0.75
-        wave *= tmp
-        if i:
-            acc += wave
-    acc /= complexity
-
+    # Interference field, one band of rows at a time: the band is cast and
+    # stored while its scratch is still in cache.
     fmt = surface.format
     off = channel_offsets(fmt)
     px = surface.pixels()
-    acc += 1.25
-    acc *= 100.0
-    base = acc.astype(np.uint8)
-    px[..., off["r"]] = base
-    px[..., off["g"]] = 40 + (base >> 1)
-    px[..., off["b"]] = 255 - base
-    px[..., off["a"]] = 255
+    step = grids["acc"].shape[0]
+    for y0 in range(0, g.height, step):
+        y1 = min(y0 + step, g.height)
+        acc, wave, tmp, base, chan = (
+            grids[k][:y1 - y0] for k in ("acc", "wave", "tmp", "base", "chan"))
+        _field(acc, wave, tmp, ang[y0:y1], rad[y0:y1], mix[y0:y1],
+               phase01, complexity)
+        np.copyto(base, acc, casting="unsafe")
+        band = px[y0:y1]
+        band[..., off["r"]] = base
+        np.right_shift(base, 1, out=chan)
+        chan += 40
+        band[..., off["g"]] = chan
+        np.subtract(255, base, out=chan)
+        band[..., off["b"]] = chan
+        band[..., off["a"]] = 255
 
     # Dial: 60 ticks rotating one revolution per period. A point ticks
     # when ring_frac + shift, taken mod 5, is below _TICK_WIDTH.

@@ -108,3 +108,41 @@ class TestParser:
     def test_unknown_sink_rejected(self, scenario_file):
         with pytest.raises(SystemExit):
             main(["run", str(scenario_file), "--sink", "laserprinter"])
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, text", [
+        ("run", "[run]\nduraton = 1\n"),
+        ("run", "[target]\nrate = 0\n[client:a]\n"),
+        ("run", "[client:a]\nfps = 0\n"),
+        ("run", "no section header\n"),
+        ("bench", "[bench]\nduraton = 1\n"),
+        ("bench", "[bench]\nclient_count = two\n"),
+    ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
+            "bench-unknown-key", "bench-bad-int"])
+    def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
+                                               command, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"fbcomp: error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_missing_file_is_one_line_and_exit_two(self, tmp_path, capsys,
+                                                   command):
+        path = tmp_path / "absent.cfg"
+        assert main([command, str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"fbcomp: error: {path}: ")
+
+    def test_error_after_loading_still_raises(self, tmp_path):
+        # Only loading is reported as a bad file; a ValueError raised by the
+        # run itself surfaces with its traceback.
+        path = tmp_path / "s.cfg"
+        path.write_text(SCENARIO.serialize().replace("clock = sim",
+                                                     "clock = lunar"))
+        with pytest.raises(ValueError, match="lunar"):
+            main(["run", str(path)])

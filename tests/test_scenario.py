@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Values that survive the INI text: no NaN, no stripped or multi-line text.
 _floats = st.floats(allow_nan=False)
+# Rates a spec accepts.
+_rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _names = st.text("abcxyz019_./-", min_size=1, max_size=12)
 _faults = st.tuples(
     st.sampled_from(["stall", "crash", "garbage-header", "slow-to"]),
@@ -38,13 +40,16 @@ def _every_field(cls, **given):
 
 
 SECTIONS = {
-    TargetSpec: _every_field(TargetSpec, rate=_floats,
+    TargetSpec: _every_field(TargetSpec, rate=_rates,
                              background=st.integers(0, 2**32 - 1)),
     RunSpec: _every_field(RunSpec, duration_s=_floats, clock=_names,
                           sink=_names, sink_dir=st.none() | _names,
                           watchdog_poll_s=_floats),
-    ClientSpec: _every_field(ClientSpec, name=_names, fps=_floats,
-                             min_fps=_floats, timeout_s=_floats, widget=_names,
+    ClientSpec: _every_field(ClientSpec, name=_names, fps=_rates,
+                             min_fps=st.floats(min_value=0.0,
+                                               allow_infinity=False),
+                             complexity=st.integers(min_value=1),
+                             timeout_s=_floats, widget=_names,
                              faults=st.lists(_faults, max_size=3).map(tuple)),
     BenchConfig: _every_field(BenchConfig, duration_s=_floats, sink=_names,
                               compose_rate=st.none() | _floats),
@@ -102,6 +107,49 @@ class TestConfigFormat:
     ], ids=["target-key", "run-key", "run-field-name", "client-key",
             "client-name-key", "section", "untitled-client", "default-section"])
     def test_unknown_key_or_section_rejected(self, text, named):
+        with pytest.raises(ValueError, match=named):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[target]\nrate = 0\n", r"\[target\] rate"),
+        ("[target]\nrate = -30\n", r"\[target\] rate"),
+        ("[target]\nrate = inf\n", r"\[target\] rate"),
+        ("[target]\nrate = nan\n", r"\[target\] rate"),
+        ("[client:a]\nfps = 0\n", r"\[client:a\] fps"),
+        ("[client:a]\nfps = -1\n", r"\[client:a\] fps"),
+        ("[client:a]\nfps = inf\n", r"\[client:a\] fps"),
+        ("[client:a]\nfps = nan\n", r"\[client:a\] fps"),
+        ("[client:a]\nmin_fps = -0.5\n", r"\[client:a\] min_fps"),
+        ("[client:a]\nmin_fps = inf\n", r"\[client:a\] min_fps"),
+        ("[client:a]\nmin_fps = nan\n", r"\[client:a\] min_fps"),
+        ("[client:a]\ncomplexity = 0\n", r"\[client:a\] complexity"),
+        ("[client:a]\ncomplexity = -2\n", r"\[client:a\] complexity"),
+        ("[client:a]\nfaults = slow-to:0@1\n", "slow-to fps"),
+    ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan", "fps-0",
+            "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
+            "min-fps-inf", "min-fps-nan", "complexity-0",
+            "complexity-negative", "slow-to-fps-0"])
+    def test_out_of_range_value_rejected(self, text, named):
+        with pytest.raises(ValueError, match=named):
+            parse_scenario(text)
+
+    def test_spec_checks_values_when_built(self):
+        with pytest.raises(ValueError, match=r"\[client:a\] fps"):
+            ClientSpec("a", fps=0.0)
+        with pytest.raises(ValueError, match=r"\[target\] rate"):
+            replace(TargetSpec(), rate=0.0)
+        # Zero min_fps is a client no frame rate disconnects.
+        assert ClientSpec("a", min_fps=0.0).min_fps == 0.0
+
+    @pytest.mark.parametrize("text, named", [
+        ("no section header\n", "no section headers"),
+        ("[client:a]\nfps = 1\nfps = 2\n", "'fps'"),
+        ("[client:a]\nwidth = wide\n", "'width'"),
+        ("[client:a]\nformat = RGB565\n", "'format'"),
+        ("[client:a]\nfaults = explode@1\n", "'faults'"),
+    ], ids=["no-header", "duplicate-key", "bad-int", "bad-format",
+            "bad-fault"])
+    def test_unparsable_text_raises_value_error(self, text, named):
         with pytest.raises(ValueError, match=named):
             parse_scenario(text)
 

@@ -6,7 +6,8 @@ import pytest
 
 from counters_oracle import render_counters_reference
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, compute_pitch
-from fbcomp.widgets import ANIMATION_PERIOD, render_counters, render_pattern
+from fbcomp.widgets import (_TILE_PX, ANIMATION_PERIOD, MIN_SIDE,
+                            render_counters, render_pattern)
 
 
 def make_surface(side=128, fmt=PixelFormat.R8G8B8A8):
@@ -106,24 +107,52 @@ EDGE_TIMES = [0.0, math.nextafter(ANIMATION_PERIOD, 0.0), 2 / 3 - 1e-6,
               2 / 3 + 1e-6, 3.3]
 
 
-@pytest.mark.parametrize("width,height", [(64, 64), (100, 77), (333, 201), (768, 768)])
+# The field is rendered in bands of _TILE_PX // width rows. At this width a
+# band is more than MIN_SIDE rows, so heights of one band and one band +-1
+# are valid sizes; 1600 wide gives far fewer rows per band than 768.
+_BAND_W = 256
+_BAND_ROWS = _TILE_PX // _BAND_W
+assert _BAND_ROWS - 1 >= MIN_SIDE
+
+
+def _assert_matches_reference(width, height, pitch, fmt, complexity, t):
+    geometry = SurfaceGeometry(width, height, pitch)
+    got = Surface.allocate(geometry, fmt)
+    want = Surface.allocate(geometry, fmt)
+    render_counters(got, t, complexity)
+    render_counters_reference(want, t, complexity)
+    assert got.buffer().tobytes() == want.buffer().tobytes(), (
+        f"{width}x{height} {fmt.name} pitch {pitch} complexity {complexity} "
+        f"t {t!r}")
+
+
+@pytest.mark.parametrize("width,height", [
+    (MIN_SIDE, MIN_SIDE), (100, 77), (333, 201), (768, 768),
+    (_BAND_W, _BAND_ROWS - 1), (_BAND_W, _BAND_ROWS), (_BAND_W, _BAND_ROWS + 1),
+    (1600, 70)])
 def test_matches_reference_renderer(width, height):
-    # The windowed overlays and the direct slot write must reproduce the
-    # full-frame renderer byte for byte, row padding included.
+    # The banded field, the windowed overlays and the direct slot write
+    # must reproduce the full-frame renderer byte for byte, row padding
+    # included.
     shifts = [(60.0 * (t % ANIMATION_PERIOD) / ANIMATION_PERIOD) % 5.0
               for t in EDGE_TIMES]
     assert 4.99 < shifts[2] < 5.0 and 0.0 < shifts[3] < 0.01
     for fmt in PixelFormat:
         for pitch in (width * 4, width * 4 + 64):
-            geometry = SurfaceGeometry(width, height, pitch)
             for complexity in (1, 2, 3):
                 for t in EDGE_TIMES:
-                    got = Surface.allocate(geometry, fmt)
-                    want = Surface.allocate(geometry, fmt)
-                    render_counters(got, t, complexity)
-                    render_counters_reference(want, t, complexity)
-                    assert got.buffer().tobytes() == want.buffer().tobytes(), (
-                        f"{fmt.name} pitch {pitch} complexity {complexity} t {t!r}")
+                    _assert_matches_reference(width, height, pitch, fmt,
+                                              complexity, t)
+
+
+def test_interleaved_sizes_match_reference_renderer():
+    # Each size keeps its own band scratch: alternating two sizes with
+    # different band heights must not carry rows from one into the other.
+    sizes = [(1600, 70), (_BAND_W, _BAND_ROWS + 1)]
+    for t in EDGE_TIMES:
+        for width, height in sizes:
+            _assert_matches_reference(width, height, width * 4,
+                                      PixelFormat.B8G8R8A8, 2, t)
 
 
 class TestPattern:
