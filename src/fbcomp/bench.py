@@ -33,8 +33,7 @@ from . import scenario, sinks, widgets
 from .client import open_direct_session
 from .clock import WallClock
 from .frame_queue import QueueMode
-from .pixel import (FramebufferContext, PixelFormat, Surface, SurfaceGeometry,
-                    compute_pitch)
+from .pixel import FramebufferContext, PixelFormat, Surface, SurfaceGeometry
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,18 @@ class BenchConfig:
     # 0.95 x the direct fps measured in the same run, so the output-rate
     # comparison tests compose overhead rather than an arbitrary cap.
     compose_rate: Optional[float] = None
+
+    def __post_init__(self):
+        scenario._require(self.client_count >= 1, "bench", "client_count",
+                          self.client_count, "at least 1")
+        scenario._require(scenario._positive(self.duration_s), "bench",
+                          "duration", self.duration_s, "positive and finite")
+        scenario._require(self.compose_rate is None
+                          or scenario._positive(self.compose_rate), "bench",
+                          "compose_rate", self.compose_rate,
+                          "positive and finite, or empty")
+        scenario._require(1 <= self.queue_depth <= 8, "bench", "queue_depth",
+                          self.queue_depth, "in 1..8")
 
 
 def load_bench_config(path) -> BenchConfig:
@@ -149,8 +160,8 @@ class BenchmarkReport:
 
 
 def _target_geometry(config: BenchConfig) -> SurfaceGeometry:
-    return SurfaceGeometry(config.target_width, config.target_height,
-                           compute_pitch(config.target_width, config.format))
+    return SurfaceGeometry.for_width(config.target_width, config.target_height,
+                                     config.format)
 
 
 def measure_direct(config: BenchConfig, duration_s: float) -> float:

@@ -22,6 +22,13 @@ from pathlib import Path
 from . import bench, scenario, shm, sinks
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not scenario._positive(value):
+        raise argparse.ArgumentTypeError(f"not a positive duration: {text}")
+    return value
+
+
 def _config_error(path, exc: Exception) -> int:
     print(f"fbcomp: error: {path}: {exc}", file=sys.stderr)
     return 2
@@ -108,14 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario config file")
     p_run.add_argument("--sink", choices=["null", "checksum", "images"])
     p_run.add_argument("--sink-dir", dest="sink_dir")
-    p_run.add_argument("--duration", type=float, help="seconds")
+    p_run.add_argument("--duration", type=_seconds, help="seconds")
     p_run.add_argument("--clock", choices=["wall", "sim"])
     p_run.add_argument("--report", help="write a JSON report here")
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run the benchmark suite")
     p_bench.add_argument("suite", nargs="?", help="suite config file")
-    p_bench.add_argument("--duration", type=float, help="seconds per phase")
+    p_bench.add_argument("--duration", type=_seconds, help="seconds per phase")
     p_bench.add_argument("--sink", choices=["null", "checksum"])
     p_bench.add_argument("--report", help="write a JSON report here")
     p_bench.set_defaults(func=_cmd_bench)

@@ -29,6 +29,11 @@ of the status records and one of the magic word in compose, one running
 frame count in the min-fps check, and one heartbeat read per watchdog
 poll.
 
+Every check of client-writable memory raises a `FramebufferError` where
+it reads the word, and compose disconnects a client as a "fault" for a
+`FramebufferError` and nothing else: any other exception is a server
+bug and propagates.
+
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
 no lock.
@@ -37,7 +42,6 @@ no lock.
 from __future__ import annotations
 
 import enum
-from struct import error as struct_error
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -47,7 +51,7 @@ import numpy as np
 from . import shm
 from .clock import Clock, WallClock
 from .errors import (AlreadyConnected, ClientNotFound, FramebufferError,
-                     PlacementConflict, PresentFailure)
+                     IncompatibleProtocol, PlacementConflict, PresentFailure)
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
@@ -70,8 +74,8 @@ class ClientState(enum.Enum):
 class DisconnectEvent:
     t_us: int
     client_id: int
-    reason: str  # "watchdog" | "low-fps" | "fault" | "corrupt-header"
-    detail: str = ""  # for "fault": the text of the error behind it
+    reason: str  # "watchdog" | "low-fps" | "fault"
+    detail: str = ""  # for "fault": the FramebufferError's text
 
 
 @dataclass
@@ -173,10 +177,7 @@ class CompositorServer:
         if not placement.fits_inside(self.target.geometry):
             raise ValueError(f"placement {placement} outside target "
                              f"{self.target.geometry.width}x{self.target.geometry.height}")
-        violations = shm.validate_region(region)
-        if violations:
-            raise ValueError("region rejected: " + "; ".join(violations))
-        header = shm.read_header(region)
+        header = shm.admit_region(region)
         if placement.width != header.width or placement.height != header.height:
             raise ValueError(
                 f"placement {placement.width}x{placement.height} does not match "
@@ -236,9 +237,8 @@ class CompositorServer:
         try:
             return self.register_client(region, old.placement, old.min_fps,
                                         client_id=client_id, pixel_buf=pixel_buf)
-        except Exception:
-            self.clients[client_id] = old
-            raise
+        finally:
+            self.clients.setdefault(client_id, old)  # back if it raised
 
     # -- fault policies ----------------------------------------------------
 
@@ -248,21 +248,17 @@ class CompositorServer:
         """Forcibly detach: stop reading the region, make it visible.
 
         The held slot goes back to FREE, so a client reconnected over the
-        same region starts with its whole queue.
+        same region starts with its whole queue, unless the client has
+        overwritten that slot's status.
         """
         desc.state = ClientState.DISCONNECTED
         held, desc.held = desc.held, None
-        # The region may be gone or corrupt; the indicator still shows.
         if held is not None:
             try:
                 desc.queue.release_frame(held)
-            except (FramebufferError, ValueError, struct_error, IndexError,
-                    TypeError):
-                pass  # also a slot status the client overwrote
-        try:
-            shm.write_detach_flag(desc.region, desc.header, 1)
-        except (ValueError, struct_error, IndexError, TypeError):
-            pass
+            except FramebufferError:
+                pass  # the client overwrote the slot's status
+        shm.write_detach_flag(desc.region, desc.header, 1)
         event = DisconnectEvent(self.clock.now_us() if now_us is None else now_us,
                                 desc.id, reason, detail)
         self.events.append(event)
@@ -279,11 +275,7 @@ class CompositorServer:
         active = [d for d in self.clients.values()
                   if d.state is ClientState.ACTIVE]
         for desc in active:
-            try:
-                hb = shm.read_heartbeat(desc.region, desc.header)
-            except (ValueError, IndexError):
-                fired.append(self.disconnect(desc, "corrupt-header", now))
-                continue
+            hb = shm.read_heartbeat(desc.region, desc.header)
             if hb != desc.last_heartbeat:
                 desc.last_heartbeat = hb
                 desc.deadline_us = now + desc.timeout_us
@@ -334,9 +326,10 @@ class CompositorServer:
         successful present as the target's `damage`. A newly registered
         client's placement counts as changed. After a failed present the
         target already holds that tick's pixels, so the next tick
-        presents them again and rereads no slot. A client whose region or frames fail the
-        protocol is disconnected and composition continues; an
-        output-sink failure or a server bug propagates.
+        presents them again and rereads no slot. A client whose region
+        or frames fail the protocol (a FramebufferError) is disconnected
+        and composition continues. A sink's OSError propagates as
+        PresentFailure, and any other exception, a server bug, as itself.
         """
         now = self.clock.now_us() if now_us is None else now_us
         reports, sources = [], []
@@ -347,8 +340,7 @@ class CompositorServer:
             else:
                 try:
                     report, source = self._compose_client(desc, now)
-                except (FramebufferError, ValueError, IndexError,
-                        struct_error) as exc:
+                except FramebufferError as exc:
                     self.disconnect(desc, "fault", now, detail=str(exc))
                     report = ClientReport(desc.id, "disconnected")
             reports.append(report)
@@ -366,7 +358,7 @@ class CompositorServer:
         self.target.surface.damage = (y0, y1) if y0 < y1 else (0, 0)
         try:
             self.sink.present(self.target.surface, now)
-        except Exception as exc:
+        except OSError as exc:
             raise PresentFailure(str(exc)) from exc
         self._unpresented = (self.target.geometry.height, 0)
         self.frames_presented += 1
@@ -380,7 +372,7 @@ class CompositorServer:
         # normal picture source. The rest of the header was validated at
         # registration and is used from desc.header.
         if shm.read_magic(desc.region) != shm.MAGIC:
-            raise ValueError("client header lost its magic")
+            raise IncompatibleProtocol("client header lost its magic")
         handle = desc.queue.take_for_display(QueueMode.FLUSH)
         if handle is not None:
             # The client writes the sequence: between two takes it can

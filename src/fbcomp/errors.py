@@ -3,6 +3,10 @@
 Plain invalid arguments (bad rectangle, zero width, non-power-of-two
 alignment) raise ValueError; everything protocol- or session-shaped gets
 its own class so callers can react per failure mode.
+
+A check of client-writable memory raises IncompatibleProtocol (magic),
+CorruptRegion (the rest of the header) or ProtocolViolation (a slot
+status); the compositor blames a client for nothing else.
 """
 
 
@@ -11,7 +15,8 @@ class FramebufferError(Exception):
 
 
 class ProtocolViolation(FramebufferError):
-    """A frame slot was driven through an illegal state transition."""
+    """A frame slot holds an invalid status word, or is not in the state
+    an operation needs."""
 
 
 class RegionTooSmall(FramebufferError):

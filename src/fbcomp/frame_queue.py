@@ -13,8 +13,9 @@ Status records are 16 bytes each, 16-byte aligned:
 Each operation costs a fixed handful of Python steps: acquire and take
 read every record in one `unpack_from` and compare plain ints, submit
 and release read the one status word they check, and each slot's
-`Surface` is built on first use and cached with the view. A status
-outside FREE..DRAWING raises ValueError.
+`Surface` is built on first use and cached with the view. A status word
+outside FREE..DRAWING, checked where it is read, or a slot not in the
+state an operation needs raises ProtocolViolation naming the slot.
 """
 
 from __future__ import annotations
@@ -98,16 +99,28 @@ class FrameQueue:
         return self._records.unpack_from(self._buf, self._status_offset)
 
     def _checked_read(self) -> tuple:
-        """Every status and sequence, flattened; ValueError for a status
-        outside FREE..DRAWING."""
+        """Every status and sequence, flattened; ProtocolViolation for a
+        status outside FREE..DRAWING."""
         records = self._read()
-        worst = max(records[::2])
-        if worst > _DRAWING:
-            raise ValueError(f"{worst} is not a valid FrameState")
+        states = records[::2]
+        if max(states) > _DRAWING:
+            index = next(i for i, s in enumerate(states) if s > _DRAWING)
+            raise ProtocolViolation(
+                f"slot {index} has invalid status {states[index]}")
         return records
 
     def _status_word(self, index: int) -> int:
-        return _STATUS.unpack_from(self._buf, self._rec(index))[0]
+        """The slot's status; ProtocolViolation outside FREE..DRAWING."""
+        word = _STATUS.unpack_from(self._buf, self._rec(index))[0]
+        if word > _DRAWING:
+            raise ProtocolViolation(f"slot {index} has invalid status {word}")
+        return word
+
+    def _expect(self, index: int, state: int) -> None:
+        word = self._status_word(index)
+        if word != state:
+            raise ProtocolViolation(f"slot {index} is {FrameState(word).name}, "
+                                    f"not {FrameState(state).name}")
 
     def _set_status(self, index: int, state: int) -> None:
         _STATUS.pack_into(self._buf, self._rec(index), state)
@@ -119,7 +132,7 @@ class FrameQueue:
         return _SEQ.unpack_from(self._buf, self._rec(index) + 8)[0]
 
     def statuses(self) -> tuple:
-        return tuple(FrameState(s) for s in self._read()[::2])
+        return tuple(map(FrameState, self._checked_read()[::2]))
 
     def surface(self, index: int) -> Surface:
         """The slot's pixels: one Surface per slot, built on first use."""
@@ -148,10 +161,7 @@ class FrameQueue:
         The sequence write precedes the status write so any party that
         observes READY also observes the frame's pixels and sequence.
         """
-        status = self._status_word(handle.index)
-        if status != _UPDATING:
-            raise ProtocolViolation(
-                f"slot {handle.index} is {FrameState(status).name}, not UPDATING")
+        self._expect(handle.index, _UPDATING)
         seq = self._next_seq
         _SEQ.pack_into(self._buf, self._rec(handle.index) + 8, seq)
         self._set_status(handle.index, _READY)
@@ -178,8 +188,5 @@ class FrameQueue:
         return FrameHandle(idx, seq, self.surface(idx))
 
     def release_frame(self, handle: FrameHandle) -> None:
-        status = self._status_word(handle.index)
-        if status != _DRAWING:
-            raise ProtocolViolation(
-                f"slot {handle.index} is {FrameState(status).name}, not DRAWING")
+        self._expect(handle.index, _DRAWING)
         self._set_status(handle.index, _FREE)

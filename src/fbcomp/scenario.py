@@ -16,7 +16,7 @@ the same steps for its own side.
 The text format is INI: a [target] section, a [run] section, and one
 [client:<name>] section per client. Fault scripts are comma-separated
 actions: stall@<start>:<duration>, crash@<t>, garbage-header@<t>,
-slow-to:<fps>@<t> (times in seconds).
+flip-status@<t>, slow-to:<fps>@<t> (times in seconds).
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from .client import ClientSession, connect_session
 from .clock import Clock, SimClock, WallClock
 from .compositor import CompositionTarget, CompositorServer
 from .errors import FramebufferError
-from .pixel import PixelFormat, Rect, SurfaceGeometry, compute_pitch
+from .frame_queue import STATUS_RECORD_SIZE
+from .pixel import PixelFormat, Rect, SurfaceGeometry
 
-_FAULT_KINDS = ("stall", "crash", "garbage-header", "slow-to")
+_FAULT_KINDS = ("stall", "crash", "garbage-header", "flip-status", "slow-to")
 
 
 # -- configuration ---------------------------------------------------------
@@ -203,16 +204,22 @@ class ClientSpec:
                  "min_fps", self.min_fps, "finite and not negative")
         _require(self.complexity >= 1, section, "complexity", self.complexity,
                  "at least 1")
+        _require(_positive(self.timeout_s), section, "timeout", self.timeout_s,
+                 "positive and finite")
+        try:
+            self.region_config()
+        except ValueError as exc:
+            raise ValueError(f"[{section}] {exc}") from exc
 
     @property
     def placement(self) -> Rect:
         return Rect(self.x, self.y, self.width, self.height)
 
     def region_config(self) -> shm.RegionConfig:
-        geometry = SurfaceGeometry(self.width, self.height,
-                                   compute_pitch(self.width, self.format))
         return shm.RegionConfig(
-            geometry=geometry, formats=(self.format,),
+            geometry=SurfaceGeometry.for_width(self.width, self.height,
+                                               self.format),
+            formats=(self.format,),
             framerate=max(1, int(self.fps)),
             timeout_us=int(self.timeout_s * 1e6),
             queue_depth=self.queue_depth,
@@ -234,8 +241,7 @@ class TargetSpec:
 
     @property
     def geometry(self) -> SurfaceGeometry:
-        return SurfaceGeometry(self.width, self.height,
-                               compute_pitch(self.width, self.format))
+        return SurfaceGeometry.for_width(self.width, self.height, self.format)
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,12 @@ class RunSpec:
     sink: str = "checksum"           # "null" | "checksum" | "images"
     sink_dir: Optional[str] = None
     watchdog_poll_s: float = 0.01
+
+    def __post_init__(self):
+        _require(_positive(self.duration_s), "run", "duration",
+                 self.duration_s, "positive and finite")
+        _require(_positive(self.watchdog_poll_s), "run", "watchdog_poll",
+                 self.watchdog_poll_s, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -322,7 +334,7 @@ class _FaultState:
     def __init__(self, spec: ClientSpec):
         # Of two slow-to actions at one time, the larger fps sorts last and wins.
         self.actions = sorted(spec.faults, key=lambda a: (a.at_s, a.fps or 0.0))
-        self.garbage_done = False
+        self.done: set = set()   # kinds of one-shot action already taken
 
     def _due(self, kind: str, t_s: float) -> bool:
         return any(a.kind == kind and a.at_s <= t_s for a in self.actions)
@@ -335,10 +347,11 @@ class _FaultState:
             math.inf if a.duration_s is None else a.duration_s)
             for a in self.actions)
 
-    def garbage_due(self, t_s: float) -> bool:
-        if self.garbage_done or not self._due("garbage-header", t_s):
+    def once_due(self, kind: str, t_s: float) -> bool:
+        """True the first time an action of `kind` is due."""
+        if kind in self.done or not self._due(kind, t_s):
             return False
-        self.garbage_done = True
+        self.done.add(kind)
         return True
 
     def fps_at(self, t_s: float, base: float) -> float:
@@ -349,6 +362,15 @@ class _FaultState:
 def _scribble_header(region) -> None:
     buf = memoryview(region)
     buf[:shm.HEADER_SIZE] = (b"\xde\xad\xbe\xef" * 15)[:shm.HEADER_SIZE]
+
+
+def _flip_statuses(region, spec: ClientSpec) -> None:
+    """Write a status word outside FREE..DRAWING into every slot."""
+    buf = memoryview(region)
+    h = shm.layout_for(spec.region_config())
+    for i in range(h.frame_count):
+        offset = h.frame_offset + i * STATUS_RECORD_SIZE
+        buf[offset:offset + 4] = b"\xff" * 4
 
 
 # -- the event loop shared by both engines -----------------------------------
@@ -394,8 +416,10 @@ class _Partition:
         if self.faults.crashed(t_s):
             self.out["exit_status"] = "crashed"
             return None
-        if self.faults.garbage_due(t_s):
+        if self.faults.once_due("garbage-header", t_s):
             _scribble_header(self.region)
+        if self.faults.once_due("flip-status", t_s):
+            _flip_statuses(self.region, self.spec)
         due = now + max(1, int(1e6 / self.faults.fps_at(t_s, self.spec.fps)))
         if self.faults.stalled(t_s):
             return due

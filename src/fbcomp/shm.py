@@ -7,7 +7,8 @@ the region, never addresses; the mapping base may differ per process.
 The 60-byte header is one `struct.Struct("<6IQ7I")`, and `HeaderFields`
 is its only parsed form, its fields in byte order plus the format table.
 `layout_for` returns the header a region carries (with ready = 0),
-`encode_header` writes it and `read_header` reads it back.
+`encode_header` writes it and `read_header` reads it back;
+`admit_region`, how either end admits a region, also checks it.
 
 Region layout (offsets from region start):
 
@@ -202,11 +203,26 @@ def validate_region(region) -> List[str]:
     the header claims.
     """
     buf = memoryview(region)
-    size = len(buf)
+    if len(buf) < HEADER_SIZE:
+        return [f"region size {len(buf)} below header size {HEADER_SIZE}"]
+    return _violations(read_header(buf), len(buf))
+
+
+def admit_region(region) -> HeaderFields:
+    """The header of a well-formed region; IncompatibleProtocol for a
+    wrong magic, CorruptRegion for any other violation."""
+    h = read_header(region)
+    if h.magic != MAGIC:
+        raise IncompatibleProtocol(f"magic 0x{h.magic:08x} != 0x{MAGIC:08x}")
+    violations = _violations(h, len(memoryview(region)))
+    if violations:
+        raise CorruptRegion("; ".join(violations))
+    return h
+
+
+def _violations(h: HeaderFields, size: int) -> List[str]:
+    """Every structural violation of header `h` in `size` bytes."""
     violations: List[str] = []
-    if size < HEADER_SIZE:
-        return [f"region size {size} below header size {HEADER_SIZE}"]
-    h = read_header(buf)
     if h.magic != MAGIC:
         violations.append(f"magic 0x{h.magic:08x} != 0x{MAGIC:08x}")
     if h.ready not in (0, 1):
@@ -309,13 +325,7 @@ def client_attach(region, *, clock: Optional[Clock] = None,
                 f"region not published within {attach_timeout_us}us")
         clock.sleep_us(_ATTACH_POLL_US)
 
-    h = read_header(buf)
-    if h.magic != MAGIC:
-        raise IncompatibleProtocol(f"magic 0x{h.magic:08x} != 0x{MAGIC:08x}")
-    violations = validate_region(buf)
-    if violations:
-        raise CorruptRegion("; ".join(violations))
-
+    h = admit_region(buf)
     fmt = PixelFormat(h.formats[0])
     context = FramebufferContext(
         geometry=SurfaceGeometry(h.width, h.height, h.pitch),

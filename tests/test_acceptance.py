@@ -228,6 +228,7 @@ def test_6_fault_containment_matrix():
         "crash": FaultAction("crash", 1.0),
         "garbage-header": FaultAction("garbage-header", 1.0),
         "slow-to": FaultAction("slow-to", 1.0, fps=10.0),  # min_fps / 2
+        "flip-status": FaultAction("flip-status", 1.0),
     }
     problems = []
     if baseline.server_frames != expected_frames:
@@ -244,7 +245,7 @@ def test_6_fault_containment_matrix():
         if report.clients["a"].disconnect is None:
             problems.append(f"{name}: faulty client was never disconnected")
     _verdict("fault containment", not problems,
-             f"4 faults, B baseline {baseline.clients['b'].presented} "
+             f"{len(faults)} faults, B baseline {baseline.clients['b'].presented} "
              f"presented; {'; '.join(problems) or 'no drift'}")
 
 

@@ -34,6 +34,20 @@ class TestLoadBenchConfig:
         with pytest.raises(ValueError, match=named):
             self.load(tmp_path, text)
 
+    @pytest.mark.parametrize("text, named", [
+        ("[bench]\nclient_count = 0\n", "client_count"),
+        ("[bench]\nduration = 0\n", "duration"),
+        ("[bench]\nduration = inf\n", "duration"),
+        ("[bench]\ncompose_rate = 0\n", "compose_rate"),
+        ("[bench]\ncompose_rate = -30\n", "compose_rate"),
+        ("[bench]\nqueue_depth = 0\n", "queue_depth"),
+        ("[bench]\nqueue_depth = 9\n", "queue_depth"),
+    ], ids=["client-count-0", "duration-0", "duration-inf", "compose-rate-0",
+            "compose-rate-negative", "queue-depth-0", "queue-depth-9"])
+    def test_out_of_range_value_rejected(self, tmp_path, text, named):
+        with pytest.raises(ValueError, match=r"\[bench\] " + named):
+            self.load(tmp_path, text)
+
     def test_report_keeps_phase_duration_key(self):
         report = BenchmarkReport(machine="host", config=BenchConfig(duration_s=2.0))
         assert json.loads(report.to_json())["config"]["phase_duration_s"] == 2.0

@@ -109,6 +109,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", str(scenario_file), "--sink", "laserprinter"])
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("seconds", ["-1", "0", "inf"])
+    def test_non_positive_duration_rejected(self, scenario_file, command,
+                                            seconds):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(scenario_file), "--duration", seconds])
+        assert exc.value.code == 2
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize("command, text", [
@@ -118,8 +126,12 @@ class TestConfigErrors:
         ("run", "no section header\n"),
         ("bench", "[bench]\nduraton = 1\n"),
         ("bench", "[bench]\nclient_count = two\n"),
+        ("run", "[client:a]\nqueue_depth = 0\n"),
+        ("run", "[run]\nduration = -1\n"),
+        ("bench", "[bench]\nqueue_depth = 0\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
-            "bench-unknown-key", "bench-bad-int"])
+            "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
+            "run-duration-negative", "bench-queue-depth-0"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"

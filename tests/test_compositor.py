@@ -4,12 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from fbcomp import compositor, regions, shm
+from fbcomp import regions, shm
 from fbcomp.client import connect_session
 from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
                                INDICATOR_COLOR, INDICATOR_FILL)
-from fbcomp.errors import (AlreadyConnected, ClientNotFound, PlacementConflict,
+from fbcomp.errors import (AlreadyConnected, ClientNotFound,
+                           IncompatibleProtocol, PlacementConflict,
                            PresentFailure, SessionLost)
 from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
 from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
@@ -127,7 +128,7 @@ class TestRegister:
         server, _ = make_server(clock=clock)
         buf, _ = make_client(clock)
         buf[4] ^= 0xFF  # break the magic
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(IncompatibleProtocol, match="magic"):
             server.register_client(buf, Rect(0, 0, 64, 64), 1)
 
 
@@ -626,21 +627,56 @@ class TestIsolationUnit:
         assert da.held is None
         assert a.queue.statuses() == (FrameState.FREE, FrameState.FREE)
 
-    def test_server_bug_propagates_instead_of_disconnecting(self, monkeypatch):
-        # Only protocol and region failures are blamed on the client; an
-        # unexpected error in the server's own code must surface.
+    def test_held_slot_with_invalid_status_is_a_fault(self):
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock, depth=2)
+        da = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+        server.compose_once(clock.now_us())
+        index = da.held.index
+        forge_slot(buf, index, 99, da.held.sequence)
+        rep = server.compose_once(clock.now_us())
+        assert rep.clients[0].outcome == "disconnected"
+        (event,) = server.events
+        assert event.reason == "fault"
+        assert f"slot {index}" in event.detail and "99" in event.detail
+        assert da.held is None
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError, TypeError,
+                                       struct.error],
+                             ids=["ValueError", "IndexError", "TypeError",
+                                  "struct_error"])
+    def test_server_bug_propagates_instead_of_disconnecting(self, monkeypatch,
+                                                            error):
+        # Only a FramebufferError is blamed on the client; any other error
+        # out of the server's own code must surface, even one of the
+        # types a bad read of client memory could raise.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         a_buf, a = make_client(clock)
         da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
         submit(a, 1)
 
-        def broken_blit(*args, **kwargs):
-            raise RuntimeError("server bug")
+        def broken_take(mode):
+            raise error("server bug")
 
-        monkeypatch.setattr(compositor, "blit", broken_blit)
-        with pytest.raises(RuntimeError, match="server bug"):
+        monkeypatch.setattr(da.queue, "take_for_display", broken_take)
+        with pytest.raises(error, match="server bug"):
             server.compose_once(clock.now_us())
+        assert da.state is ClientState.ACTIVE
+        assert server.events == []
+
+    def test_watchdog_over_released_view_raises(self):
+        # The server's own view of a region is not client memory: if it
+        # has been released, that is a server bug, not a client fault.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        a_buf, _ = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        da.region.release()
+        with pytest.raises(ValueError, match="released"):
+            server.check_watchdogs(clock.now_us() + 10 * TIMEOUT_US)
         assert da.state is ClientState.ACTIVE
         assert server.events == []
 

@@ -6,7 +6,8 @@ import zlib
 import pytest
 
 from fbcomp.errors import ProtocolViolation
-from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState, QueueMode
+from fbcomp.frame_queue import (STATUS_RECORD_SIZE, FrameHandle, FrameState,
+                                QueueMode)
 from queue_model import explore, make_queue
 
 
@@ -138,7 +139,7 @@ class TestRecords:
         with pytest.raises(IndexError):
             q.surface(3)
 
-    def test_bad_status_raises_value_error(self):
+    def test_bad_status_raises_protocol_violation(self):
         buf = bytearray(3 * STATUS_RECORD_SIZE + 3 * 4)
         q = make_queue(3, buf)
         h = q.acquire_frame()
@@ -146,12 +147,19 @@ class TestRecords:
         # slot 2 is FREE and after the READY slot: every status counts
         buf[2 * STATUS_RECORD_SIZE:2 * STATUS_RECORD_SIZE + 4] = \
             (4).to_bytes(4, "little")
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolViolation, match="slot 2 has invalid status 4"):
             q.take_for_display(QueueMode.FLUSH)
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolViolation, match="slot 2"):
             q.acquire_frame()
-        with pytest.raises(ValueError):
+        with pytest.raises(ProtocolViolation, match="slot 2"):
             q.statuses()
+        with pytest.raises(ProtocolViolation, match="slot 2"):
+            q.status(2)
+        stray = FrameHandle(2, 0, q.surface(2))
+        for op in (q.submit_frame, q.release_frame):
+            with pytest.raises(ProtocolViolation,
+                               match="slot 2 has invalid status 4"):
+                op(stray)
 
     def test_reattached_view_continues_sequences(self):
         buf = bytearray(2 * STATUS_RECORD_SIZE + 2 * 4)

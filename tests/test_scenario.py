@@ -19,13 +19,15 @@ from test_acceptance import _containment_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Values that survive the INI text: no NaN, no stripped or multi-line text.
-_floats = st.floats(allow_nan=False)
-# Rates a spec accepts.
+# Rates and durations a spec accepts.
 _rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Text that survives the INI file: nothing stripped, no line breaks.
 _names = st.text("abcxyz019_./-", min_size=1, max_size=12)
+_sizes = st.integers(min_value=1)
+_depths = st.integers(1, 8)
 _faults = st.tuples(
-    st.sampled_from(["stall", "crash", "garbage-header", "slow-to"]),
+    st.sampled_from(["stall", "crash", "garbage-header", "flip-status",
+                     "slow-to"]),
     st.floats(0, 100), st.one_of(st.none(), st.floats(0.001, 50)),
     st.floats(0.1, 240)).map(lambda k: FaultAction(
         k[0], k[1], duration_s=k[2] if k[0] == "stall" else None,
@@ -42,17 +44,22 @@ def _every_field(cls, **given):
 SECTIONS = {
     TargetSpec: _every_field(TargetSpec, rate=_rates,
                              background=st.integers(0, 2**32 - 1)),
-    RunSpec: _every_field(RunSpec, duration_s=_floats, clock=_names,
+    RunSpec: _every_field(RunSpec, duration_s=_rates, clock=_names,
                           sink=_names, sink_dir=st.none() | _names,
-                          watchdog_poll_s=_floats),
+                          watchdog_poll_s=_rates),
+    # A timeout of 2 s covers two frame periods at any fps (the region
+    # rounds fps down, to at least 1).
     ClientSpec: _every_field(ClientSpec, name=_names, fps=_rates,
+                             width=_sizes, height=_sizes,
+                             queue_depth=_depths,
                              min_fps=st.floats(min_value=0.0,
                                                allow_infinity=False),
                              complexity=st.integers(min_value=1),
-                             timeout_s=_floats, widget=_names,
+                             timeout_s=st.floats(2.0, 1e9), widget=_names,
                              faults=st.lists(_faults, max_size=3).map(tuple)),
-    BenchConfig: _every_field(BenchConfig, duration_s=_floats, sink=_names,
-                              compose_rate=st.none() | _floats),
+    BenchConfig: _every_field(BenchConfig, duration_s=_rates, sink=_names,
+                              client_count=_sizes, queue_depth=_depths,
+                              compose_rate=st.none() | _rates),
 }
 
 
@@ -125,10 +132,24 @@ class TestConfigFormat:
         ("[client:a]\ncomplexity = 0\n", r"\[client:a\] complexity"),
         ("[client:a]\ncomplexity = -2\n", r"\[client:a\] complexity"),
         ("[client:a]\nfaults = slow-to:0@1\n", "slow-to fps"),
+        ("[client:a]\nqueue_depth = 0\n", r"\[client:a\] queue depth"),
+        ("[client:a]\nqueue_depth = 9\n", r"\[client:a\] queue depth"),
+        ("[client:a]\ntimeout = 0\n", r"\[client:a\] timeout"),
+        ("[client:a]\ntimeout = inf\n", r"\[client:a\] timeout"),
+        ("[client:a]\nfps = 48\ntimeout = 0.01\n",
+         r"\[client:a\] timeout 10000us below two frame periods"),
+        ("[client:a]\nwidth = 0\n", r"\[client:a\] width"),
+        ("[run]\nduration = -1\n", r"\[run\] duration"),
+        ("[run]\nduration = 0\n", r"\[run\] duration"),
+        ("[run]\nduration = inf\n", r"\[run\] duration"),
+        ("[run]\nwatchdog_poll = 0\n", r"\[run\] watchdog_poll"),
     ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan", "fps-0",
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
-            "complexity-negative", "slow-to-fps-0"])
+            "complexity-negative", "slow-to-fps-0", "queue-depth-0",
+            "queue-depth-9", "timeout-0", "timeout-inf",
+            "timeout-below-two-periods", "width-0", "duration-negative",
+            "duration-0", "duration-inf", "watchdog-poll-0"])
     def test_out_of_range_value_rejected(self, text, named):
         with pytest.raises(ValueError, match=named):
             parse_scenario(text)
@@ -262,9 +283,24 @@ class TestSimEngine:
         report = run_scenario(config)
         alpha = report.clients["alpha"]
         assert alpha.disconnect is not None
-        assert alpha.disconnect[1] in ("fault", "corrupt-header")
+        assert alpha.disconnect[1] == "fault"
         assert report.server_frames == 30  # server kept composing
         assert report.clients["beta"].disconnect is None
+
+    def test_flip_status_fault(self):
+        # Every slot's status turns invalid: the client's own next begin
+        # fails (lost) and the server's next take disconnects it (fault).
+        baseline = run_scenario(two_client_config(duration_s=1.0))
+        config = two_client_config(
+            duration_s=1.0,
+            a={"faults": (FaultAction("flip-status", 0.3),)})
+        report = run_scenario(config)
+        alpha, beta = report.clients["alpha"], report.clients["beta"]
+        assert alpha.exit_status == "lost"
+        assert alpha.disconnect is not None and alpha.disconnect[1] == "fault"
+        assert report.server_frames == 30
+        assert beta.disconnect is None
+        assert beta.presented == baseline.clients["beta"].presented
 
     def test_slow_to_fault_trips_fps_policy(self):
         config = two_client_config(

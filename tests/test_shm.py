@@ -6,7 +6,7 @@ import pytest
 
 from fbcomp import shm
 from fbcomp.clock import SimClock
-from fbcomp.errors import (IncompatibleProtocol, RegionTooSmall,
+from fbcomp.errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
 from fbcomp.pixel import (FramebufferContext, PixelFormat, SurfaceGeometry,
@@ -181,6 +181,18 @@ class TestAttach:
         struct.pack_into("<I", buf, shm.OFF_MAGIC, shm.MAGIC ^ 1)
         with pytest.raises(IncompatibleProtocol):
             shm.client_attach(buf, clock=SimClock())
+
+    def test_admit_region_tells_magic_from_other_violations(self):
+        buf, lay = shm.allocate_region(small_config())
+        assert shm.admit_region(buf) == lay
+        struct.pack_into("<I", buf, 40, 0)  # frameCount
+        with pytest.raises(CorruptRegion, match="frameCount 0"):
+            shm.admit_region(buf)
+        struct.pack_into("<I", buf, shm.OFF_MAGIC, shm.MAGIC ^ 1)
+        with pytest.raises(IncompatibleProtocol, match="magic"):
+            shm.admit_region(buf)
+        with pytest.raises(CorruptRegion, match="cannot hold"):
+            shm.admit_region(bytes(shm.HEADER_SIZE - 1))
 
     def test_round_trip_random_configs(self):
         rng = random.Random(99)
