@@ -6,15 +6,14 @@ and a multi-process harness with overhead benchmarks.
 """
 
 from .clock import Clock, SimClock, WallClock
-from .errors import (AlreadyConnected, ClientNotFound, CorruptRegion,
-                     FramebufferError, IncompatibleProtocol, PlacementConflict,
-                     PresentFailure, ProtocolViolation, RegionTooSmall,
-                     ServerUnavailable, SessionLost, UsageError)
+from .errors import (CorruptRegion, FramebufferError, IncompatibleProtocol,
+                     PlacementConflict, PresentFailure, ProtocolViolation,
+                     RegionTooSmall, ServerUnavailable, SessionLost, UsageError)
 from .frame_queue import FrameHandle, FrameQueue, FrameState, QueueMode
 from .pixel import (FramebufferContext, PixelFormat, Rect, Surface,
                     SurfaceGeometry, blit, compute_pitch, convert_pixel,
                     pack_channels, unpack_channels)
-from .client import ClientSession, WatchdogTimer, connect_session, open_direct_session
+from .client import ClientSession, connect_session, open_direct_session
 from .compositor import (ClientDescriptor, ClientState, CompositionTarget,
                          CompositorServer, DisconnectEvent)
 from .shm import (MAGIC, RegionConfig, client_attach, encode_header,

@@ -1,8 +1,6 @@
-"""Application-side runtime: frame lifecycle, watchdog, direct presentation.
+"""Application-side runtime: frame lifecycle and direct presentation.
 
-A session is confined to one task. The watchdog poller may run
-concurrently in the same process; it synchronizes with end_frame only
-through the deadline field (end_frame writes, the poller reads).
+A session is confined to one task.
 
 The server's watchdog observes the heartbeat counter in the region.
 end_frame advances it, and so does a begin that finds no FREE slot: a
@@ -12,33 +10,13 @@ still alive.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from . import shm
 from .clock import Clock, WallClock
 from .errors import SessionLost, UsageError
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
 from .pixel import FramebufferContext, Surface
-
-HealthMonitor = Callable[[int], None]  # receives the expiry time in us
-
-
-class WatchdogTimer:
-    """Countdown reset on every completed frame; fires once per episode."""
-
-    def __init__(self, budget_us: int, now_us: int):
-        if budget_us <= 0:
-            raise ValueError("watchdog budget must be positive")
-        self.budget_us = budget_us
-        self.deadline_us = now_us + budget_us
-        self.fired = False
-
-    def reset(self, now_us: int) -> None:
-        self.deadline_us = now_us + self.budget_us
-        self.fired = False
-
-    def expired(self, now_us: int) -> bool:
-        return now_us >= self.deadline_us
 
 
 class ClientSession:
@@ -47,13 +25,10 @@ class ClientSession:
 
     def __init__(self, context: FramebufferContext, queue: FrameQueue,
                  clock: Optional[Clock] = None, *, region,
-                 header: shm.HeaderFields,
-                 health_monitor: Optional[HealthMonitor] = None,
-                 sink=None):
+                 header: shm.HeaderFields, sink=None):
         self.context = context
         self.queue = queue
         self.clock = clock or WallClock()
-        self.health_monitor = health_monitor
         self.mode = "direct" if sink is not None else "composited"
         self.sink = sink
         self._region = region
@@ -62,39 +37,14 @@ class ClientSession:
         self._held: Optional[FrameHandle] = None
         self._heartbeat = 0
         self.frames_submitted = 0
-        self.watchdog = WatchdogTimer(context.timeout_us, self.clock.now_us())
 
     # -- frame lifecycle ---------------------------------------------------
 
-    def begin_frame(self) -> Optional[Surface]:
-        """Acquire a writable frame, waiting up to one frame period.
-
-        Returns None when no slot freed up within the period (the caller
-        skips this frame) and advances the heartbeat. Polls at a quarter
-        of the frame period.
-        """
-        if self._open is not None:
-            raise UsageError("begin_frame while a frame is already open")
-        self._check_connected()
-        period = self.context.frame_period_us
-        deadline = self.clock.now_us() + period
-        poll = max(1, period // 4)
-        while True:
-            handle = self.queue.acquire_frame()
-            if handle is not None:
-                self._open = handle
-                return handle.surface
-            remaining = deadline - self.clock.now_us()
-            if remaining <= 0:
-                self.heartbeat()
-                return None
-            self.clock.sleep_us(min(poll, remaining))
-
     def try_begin_frame(self) -> Optional[Surface]:
-        """Non-blocking begin_frame: None immediately when no slot is FREE,
-        after advancing the heartbeat."""
+        """A writable frame, or None at once when no slot is FREE, after
+        advancing the heartbeat. Never waits."""
         if self._open is not None:
-            raise UsageError("begin_frame while a frame is already open")
+            raise UsageError("try_begin_frame while a frame is already open")
         self._check_connected()
         handle = self.queue.acquire_frame()
         if handle is None:
@@ -104,35 +54,18 @@ class ClientSession:
         return handle.surface
 
     def end_frame(self) -> None:
-        """Submit the open frame, reset the watchdog, bump the heartbeat.
-
-        The heartbeat also advances on a begin that finds the queue full;
-        the session's own watchdog resets only here, on a completed frame.
-        """
+        """Submit the open frame and bump the heartbeat."""
         if self._open is None:
             raise UsageError("end_frame without an open frame")
         handle, self._open = self._open, None
         self.queue.submit_frame(handle)
         self.frames_submitted += 1
-        self.watchdog.reset(self.clock.now_us())
         self.heartbeat()
 
     def heartbeat(self) -> None:
         """Advance the liveness counter the server's watchdog observes."""
         self._heartbeat += 1
         shm.write_heartbeat(self._region, self._header, self._heartbeat)
-
-    def poll_watchdog(self, now_us: Optional[int] = None) -> str:
-        """'ok' before the deadline; 'expired' after, with the health
-        monitor invoked exactly once per expiry episode."""
-        now = self.clock.now_us() if now_us is None else now_us
-        if not self.watchdog.expired(now):
-            return "ok"
-        if not self.watchdog.fired:
-            self.watchdog.fired = True
-            if self.health_monitor is not None:
-                self.health_monitor(now)
-        return "expired"
 
     # -- direct-to-display -------------------------------------------------
 
@@ -165,8 +98,7 @@ class ClientSession:
 
 
 def open_direct_session(context: FramebufferContext, sink,
-                        clock: Optional[Clock] = None,
-                        health_monitor: Optional[HealthMonitor] = None) -> ClientSession:
+                        clock: Optional[Clock] = None) -> ClientSession:
     """Direct mode: the session owns both queue ends and an output sink."""
     config = shm.RegionConfig(
         geometry=context.geometry, formats=(context.format,),
@@ -176,15 +108,14 @@ def open_direct_session(context: FramebufferContext, sink,
     region, header = shm.allocate_region(config)
     shm.publish(region)
     queue = shm.queue_view(memoryview(region), header, context.format)
-    return ClientSession(context, queue, clock, health_monitor=health_monitor,
-                         region=memoryview(region), header=header, sink=sink)
+    return ClientSession(context, queue, clock, region=memoryview(region),
+                         header=header, sink=sink)
 
 
 def connect_session(region, clock: Optional[Clock] = None, *,
-                    health_monitor: Optional[HealthMonitor] = None,
                     attach_timeout_us: int = 1_000_000) -> ClientSession:
     """Composited mode: attach to a server-published shared region."""
     context, queue, header = shm.client_attach(
         region, clock=clock, attach_timeout_us=attach_timeout_us)
-    return ClientSession(context, queue, clock, health_monitor=health_monitor,
-                         region=memoryview(region), header=header)
+    return ClientSession(context, queue, clock, region=memoryview(region),
+                         header=header)

@@ -50,8 +50,8 @@ import numpy as np
 
 from . import shm
 from .clock import Clock, WallClock
-from .errors import (AlreadyConnected, ClientNotFound, FramebufferError,
-                     IncompatibleProtocol, PlacementConflict, PresentFailure)
+from .errors import (FramebufferError, IncompatibleProtocol, PlacementConflict,
+                     PresentFailure)
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
@@ -146,8 +146,7 @@ class CompositorServer:
         self.clients: Dict[int, ClientDescriptor] = {}
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
-        self._next_id = 1
-        self._retired: set = set()   # ids of retired clients, never reused
+        self._next_id = 1            # only grows, so no id is used twice
         # (width, height) -> indicator tile in the target's format
         self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
         # client id -> what its placement shows on the target: a frame's
@@ -162,7 +161,6 @@ class CompositorServer:
     # -- registration ------------------------------------------------------
 
     def register_client(self, region, placement: Rect, min_fps: float,
-                        client_id: Optional[int] = None,
                         pixel_buf=None) -> ClientDescriptor:
         """Admit a published region at a fixed placement.
 
@@ -170,9 +168,8 @@ class CompositorServer:
         pixel reads; status records are still driven through `region`.
         The placement may not overlap an active client. Disconnected
         clients it overlaps are retired: dropped from `clients` (their
-        `events` stay) and their areas cleared on the next compose; their
-        ids are never registered again. A registration that raises
-        changes nothing.
+        `events` stay) and their areas cleared on the next compose. Every
+        client gets a new id. A registration that raises changes nothing.
         """
         if not placement.fits_inside(self.target.geometry):
             raise ValueError(f"placement {placement} outside target "
@@ -188,57 +185,28 @@ class CompositorServer:
             if other.state is ClientState.ACTIVE:
                 raise PlacementConflict(
                     f"placement {placement} overlaps client {other.id}")
-        if client_id is None:
-            client_id = self._next_id
-            self._next_id += 1
-        elif client_id in self.clients:
-            raise AlreadyConnected(f"client {client_id} already registered")
-        elif client_id in self._retired:
-            raise AlreadyConnected(f"client {client_id} was retired; "
-                                   f"its id is not reused")
-        else:
-            self._next_id = max(self._next_id, client_id + 1)
         now = self.clock.now_us()
         queue = shm.queue_view(region, header, PixelFormat(header.formats[0]),
                                pixel_buf=pixel_buf)
         desc = ClientDescriptor(
-            id=client_id, region=memoryview(region), header=header,
+            id=self._next_id, region=memoryview(region), header=header,
             queue=queue, placement=placement,
             min_fps=min_fps, timeout_us=header.timeout_us,
-            # Sequences never reset, so a reconnected region's first take
-            # counts only what was submitted after this point.
+            # A region can carry frames before it is registered (the wall
+            # engine publishes it first); the first take counts only what
+            # was submitted after this point.
             last_frame_seq=max(queue.sequence(i) for i in range(queue.depth)),
             deadline_us=now + header.timeout_us,
             last_heartbeat=shm.read_heartbeat(region, header),
             connected_at_us=now,
         )
+        self._next_id += 1
         for other in covered:
             del self.clients[other.id]
-            self._retired.add(other.id)
             self._shown.pop(other.id, None)
             self._to_clear.append(other.placement)
-        self.clients[client_id] = desc
+        self.clients[desc.id] = desc
         return desc
-
-    def reconnect_client(self, client_id: int, region,
-                         pixel_buf=None) -> ClientDescriptor:
-        """Fresh descriptor at the same placement after a disconnect.
-
-        A client retired by a registration over its area is no longer
-        registered and cannot be reconnected. A reconnect that raises
-        changes nothing.
-        """
-        old = self.clients.get(client_id)
-        if old is None:
-            raise ClientNotFound(f"client {client_id} is not registered")
-        if old.state is ClientState.ACTIVE:
-            raise AlreadyConnected(f"client {client_id} is still connected")
-        del self.clients[client_id]
-        try:
-            return self.register_client(region, old.placement, old.min_fps,
-                                        client_id=client_id, pixel_buf=pixel_buf)
-        finally:
-            self.clients.setdefault(client_id, old)  # back if it raised
 
     # -- fault policies ----------------------------------------------------
 
@@ -247,9 +215,9 @@ class CompositorServer:
                    detail: str = "") -> DisconnectEvent:
         """Forcibly detach: stop reading the region, make it visible.
 
-        The held slot goes back to FREE, so a client reconnected over the
-        same region starts with its whole queue, unless the client has
-        overwritten that slot's status.
+        The held slot goes back to FREE, unless the client has overwritten
+        its status, so the server keeps no slot of a region it no longer
+        reads.
         """
         desc.state = ClientState.DISCONNECTED
         held, desc.held = desc.held, None

@@ -52,13 +52,5 @@ class PlacementConflict(FramebufferError):
     """Requested placement overlaps an active client."""
 
 
-class ClientNotFound(FramebufferError):
-    pass
-
-
-class AlreadyConnected(FramebufferError):
-    pass
-
-
 class PresentFailure(FramebufferError):
     """The output sink rejected a frame."""

@@ -172,10 +172,6 @@ class FramebufferContext:
     def __post_init__(self):
         check_timing(self.framerate, self.timeout_us, self.queue_depth)
 
-    @property
-    def frame_period_us(self) -> int:
-        return 1_000_000 // self.framerate
-
 
 class Surface:
     """A pixel region: raw bytes plus geometry and format.

@@ -204,8 +204,8 @@ class ClientSpec:
                  "min_fps", self.min_fps, "finite and not negative")
         _require(self.complexity >= 1, section, "complexity", self.complexity,
                  "at least 1")
-        _require(_positive(self.timeout_s), section, "timeout", self.timeout_s,
-                 "positive and finite")
+        _require(_positive(self.timeout_s * 1e6), section, "timeout",
+                 self.timeout_s, "positive and finite in microseconds")
         try:
             self.region_config()
         except ValueError as exc:

@@ -74,7 +74,11 @@ def _round_up(value: int, align: int) -> int:
 
 @dataclass(frozen=True)
 class RegionConfig:
-    """Server-side surface and queue configuration for one client region."""
+    """Server-side surface and queue configuration for one client region.
+
+    Every field of its header must fit its word: a u32, or the u64 of
+    the timeout.
+    """
 
     geometry: SurfaceGeometry
     formats: tuple
@@ -89,6 +93,11 @@ class RegionConfig:
         if self.frame_padding <= 0 or self.frame_padding & (self.frame_padding - 1):
             raise ValueError("framePadding must be a power of two")
         check_timing(self.framerate, self.timeout_us, self.queue_depth)
+        for f, value in zip(fields(HeaderFields), _header_values(layout_for(self))):
+            bits = 64 if f.name == "timeout_us" else 32
+            if not 0 <= value < 1 << bits:
+                raise ValueError(f"{f.name} {value} does not fit its "
+                                 f"u{bits} header word")
 
 
 @dataclass

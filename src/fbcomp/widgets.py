@@ -1,13 +1,11 @@
 """Software-rendered demo widgets used by the harness and benchmarks.
 
 render_counters is a pure function of (t, complexity, geometry): same
-inputs, same bytes. That is known to hold on x86_64, where the golden
-checksums were made, and not promised elsewhere: the interference field
-reaches about -17 and 265 before its float32-to-uint8 cast, C leaves an
-out-of-range float-to-integer conversion undefined, and numpy's result
-follows the platform's conversion instruction. Clipping before the cast
-would fix that but move every golden checksum. The animation repeats
-every ANIMATION_PERIOD seconds. Per-frame pixel work scales linearly
+inputs, same bytes, on any machine. The interference field lies in
+[-20, 270], and `_to_uint8` casts it through int16 (defined: truncation
+toward zero) and then wraps it modulo 256 (defined for an unsigned
+type), so no step depends on how a platform converts an out-of-range
+float. The animation repeats every ANIMATION_PERIOD seconds. Per-frame pixel work scales linearly
 with `complexity`, which is what the overhead benchmarks lean on.
 
 It draws straight into the surface, channel by channel at the format's
@@ -69,11 +67,12 @@ def _grids(w: int, h: int):
 
     Holds the full-frame float32 angle, radius and mix fields of the
     interference pass; the scratch of one band of min(h, _TILE_PX // w)
-    rows (float32 "acc", "wave" and "tmp", uint8 "base" for the cast and
-    "chan" for the green and blue channels), so no full-frame scratch is
-    kept; and for each overlay its points in key order: the ring's flat
-    pixel indices sorted by tick phase ("ring_frac", in [0, 5]) and the
-    needle disc's sorted by angle ("inner_ang", in [-pi, pi]).
+    rows (float32 "acc", "wave" and "tmp", int16 "wide" and uint8 "base"
+    for the cast, uint8 "chan" for the green and blue channels), so no
+    full-frame scratch is kept; and for each overlay its points in key
+    order: the ring's flat pixel indices sorted by tick phase
+    ("ring_frac", in [0, 5]) and the needle disc's sorted by angle
+    ("inner_ang", in [-pi, pi]).
     """
     key = (w, h)
     cached = _grid_cache.get(key)
@@ -104,6 +103,7 @@ def _grids(w: int, h: int):
             "acc": np.empty(band, np.float32),
             "wave": np.empty(band, np.float32),
             "tmp": np.empty(band, np.float32),
+            "wide": np.empty(band, np.int16),
             "base": np.empty(band, np.uint8),
             "chan": np.empty(band, np.uint8),
         }
@@ -151,6 +151,17 @@ def _field(acc, wave, tmp, ang, rad, mix, phase01: float, complexity: int):
     acc /= complexity
     acc += 1.25
     acc *= 100.0
+
+
+def _to_uint8(acc, wide, base) -> None:
+    """`acc` truncated toward zero and wrapped modulo 256, into `base`.
+
+    The float32 -> int16 step is defined for every value in the field's
+    [-20, 270], and narrowing an integer to uint8 wraps; a direct
+    float32 -> uint8 cast is undefined outside [0, 255].
+    """
+    np.copyto(wide, acc, casting="unsafe")
+    np.copyto(base, wide, casting="unsafe")
 
 
 def _window(keys: np.ndarray, spans) -> np.ndarray:
@@ -210,11 +221,12 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
     step = grids["acc"].shape[0]
     for y0 in range(0, g.height, step):
         y1 = min(y0 + step, g.height)
-        acc, wave, tmp, base, chan = (
-            grids[k][:y1 - y0] for k in ("acc", "wave", "tmp", "base", "chan"))
+        acc, wave, tmp, wide, base, chan = (
+            grids[k][:y1 - y0]
+            for k in ("acc", "wave", "tmp", "wide", "base", "chan"))
         _field(acc, wave, tmp, ang[y0:y1], rad[y0:y1], mix[y0:y1],
                phase01, complexity)
-        np.copyto(base, acc, casting="unsafe")
+        _to_uint8(acc, wide, base)
         band = px[y0:y1]
         band[..., off["r"]] = base
         np.right_shift(base, 1, out=chan)

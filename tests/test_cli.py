@@ -129,9 +129,11 @@ class TestConfigErrors:
         ("run", "[client:a]\nqueue_depth = 0\n"),
         ("run", "[run]\nduration = -1\n"),
         ("bench", "[bench]\nqueue_depth = 0\n"),
+        ("run", "[client:a]\ntimeout = 1e303\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
             "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
-            "run-duration-negative", "bench-queue-depth-0"])
+            "run-duration-negative", "bench-queue-depth-0",
+            "run-timeout-overflows-float"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"

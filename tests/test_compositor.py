@@ -9,10 +9,9 @@ from fbcomp.client import connect_session
 from fbcomp.clock import SimClock
 from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
                                INDICATOR_COLOR, INDICATOR_FILL)
-from fbcomp.errors import (AlreadyConnected, ClientNotFound,
-                           IncompatibleProtocol, PlacementConflict,
+from fbcomp.errors import (IncompatibleProtocol, PlacementConflict,
                            PresentFailure, SessionLost)
-from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
+from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState, QueueMode
 from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                           compute_pitch, pack_channels)
 from fbcomp.sinks import ChecksumSink, frame_checksum
@@ -372,9 +371,9 @@ class TestFramerate:
     @pytest.mark.parametrize("seed", range(3))
     def test_running_count_matches_window_sum(self, seed):
         # Several hundred ticks of random submit counts, forged and
-        # backward sequences, checks exactly at the window edge and
-        # disconnect/reconnect over the same region. The running count
-        # must equal the window's sum, and every decision the sum's.
+        # backward sequences, checks exactly at the window edge and a
+        # fresh region registered over each disconnected one. The running
+        # count must equal the window's sum, and every decision the sum's.
         rng = random.Random(seed)
         window = 200_000
         clock = SimClock()
@@ -383,7 +382,7 @@ class TestFramerate:
         desc = server.register_client(buf, Rect(0, 0, 64, 64), 20)
         entries = []              # (t, frames) as the old code summed them
         seen = dict.fromkeys(("keep", "disconnect", "edge", "forged",
-                              "backward", "reconnect"), 0)
+                              "backward", "reuse"), 0)
         t = 0
         for tick in range(400):
             if entries and rng.random() < 0.2:
@@ -393,10 +392,10 @@ class TestFramerate:
                 t += rng.randrange(5_000, 40_000)
             clock.advance_to(t)
             if desc.state is ClientState.DISCONNECTED:
-                shm.write_detach_flag(buf, desc.header, 0)
-                desc = server.reconnect_client(desc.id, buf)
+                buf, a = make_client(clock, depth=3, timeout_us=10_000_000)
+                desc = server.register_client(buf, desc.placement, 20)
                 entries = []
-                seen["reconnect"] += 1
+                seen["reuse"] += 1
             for _ in range(rng.choice([0, 0, 1, 1, 1, 2, 3])):
                 if a.try_begin_frame() is not None:
                     a.end_frame()
@@ -438,79 +437,48 @@ class TestFramerate:
         assert all(seen.values()), seen
 
     def test_reconnect_first_take_counts_at_most_depth(self):
+        # A region can carry 20 submitted frames before it is registered,
+        # as in the wall engine, which publishes first. The first take
+        # counts only what came after registration.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=3)
-        desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
+        consumer = shm.queue_view(buf, shm.read_header(buf),
+                                  PixelFormat.R8G8B8A8)
         for i in range(20):
             submit(a, i)
-            server.compose_once(clock.now_us())
+            consumer.release_frame(consumer.take_for_display(QueueMode.FLUSH))
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
         assert desc.last_frame_seq == 20
-        server.disconnect(desc, "watchdog")
-        # The same region comes back, still holding sequence 20.
-        shm.write_detach_flag(buf, shm.read_header(buf), 0)
-        fresh = server.reconnect_client(desc.id, buf)
         submit(a, 21)
         server.compose_once(clock.now_us())
-        assert 0 <= fresh.fps_window[-1][1] <= a.queue.depth
+        assert desc.fps_window[-1][1] == 1   # not min(21, depth)
 
 
 class TestReconnect:
-    def test_reconnect_after_disconnect(self):
-        clock = SimClock()
-        server, _ = make_server(clock=clock)
-        buf, a = make_client(clock)
-        desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
-        clock.advance_to(TIMEOUT_US + 1)
-        server.check_watchdogs(clock.now_us())
-        assert desc.state is ClientState.DISCONNECTED
-
-        new_buf, b = make_client(clock)
-        fresh = server.reconnect_client(desc.id, new_buf)
-        assert fresh.state is ClientState.ACTIVE
-        assert fresh.placement == desc.placement
-        assert len(fresh.fps_window) == 0
-        assert fresh.last_frame_seq == 0
-
-    def test_reconnect_active_client_rejected(self):
-        clock = SimClock()
-        server, _ = make_server(clock=clock)
-        buf, _ = make_client(clock)
-        desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
-        other, _ = make_client(clock)
-        with pytest.raises(AlreadyConnected):
-            server.reconnect_client(desc.id, other)
+    """After a disconnect: area reuse, ids and the held slot."""
 
     def test_retired_id_not_registered_again(self):
-        # C is retired by B's registration over its area; its id must not
-        # come back for another client, or events would mix the two.
+        # C is retired by B's registration over its area, and B by D's;
+        # no id comes back for another client, or events would mix them.
         clock = SimClock()
         server, _ = make_server(clock=clock)
-        c_buf, _ = make_client(clock)
-        dc = server.register_client(c_buf, Rect(0, 0, 64, 64), 1)
-        server.disconnect(dc, "watchdog")
-        b_buf, _ = make_client(clock)
-        db = server.register_client(b_buf, Rect(0, 0, 64, 64), 1)
+        ids = []
+        for _ in range(3):
+            buf, _ = make_client(clock)
+            desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+            ids.append(desc.id)
+            server.disconnect(desc, "watchdog")
         other, _ = make_client(clock)
-        with pytest.raises(AlreadyConnected, match="retired"):
-            server.register_client(other, Rect(200, 200, 64, 64), 1,
-                                   client_id=dc.id)
-        assert set(server.clients) == {db.id}
-        # A registered id still reconnects.
-        server.disconnect(db, "watchdog")
-        shm.write_detach_flag(b_buf, db.header, 0)
-        assert server.reconnect_client(db.id, b_buf).state is ClientState.ACTIVE
+        ids.append(server.register_client(other, Rect(200, 200, 64, 64), 1).id)
+        assert ids == sorted(set(ids))
+        assert set(server.clients) == {ids[2], ids[3]}
         assert [(e.client_id, e.reason) for e in server.events] == \
-            [(dc.id, "watchdog"), (db.id, "watchdog")]
-
-    def test_reconnect_unknown_id(self):
-        server, _ = make_server()
-        buf, _ = make_client(SimClock())
-        with pytest.raises(ClientNotFound):
-            server.reconnect_client(42, buf)
+            [(i, "watchdog") for i in ids[:3]]
 
     def test_indicator_then_pixels_again(self):
-        # disconnect -> crosshatch indicator -> reconnect -> client pixels
+        # disconnect -> crosshatch indicator -> a fresh region over the
+        # same area -> client pixels
         clock = SimClock()
         server, sink = make_server(clock=clock)
         buf, a = make_client(clock)
@@ -530,7 +498,7 @@ class TestReconnect:
         assert (px[:64, :64, :3] == amber).all(axis=2).any()
 
         new_buf, b = make_client(clock)
-        server.reconnect_client(desc.id, new_buf)
+        server.register_client(new_buf, desc.placement, 1)
         surface = b.try_begin_frame()
         render_pattern(surface, 5)
         b.end_frame()
@@ -538,8 +506,8 @@ class TestReconnect:
         assert sink.checksums()[-1] == live_checksum
 
     def test_disconnect_releases_held_slot(self):
-        # A depth-1 client reconnected over the same region must get its
-        # only slot back, or it can never begin a frame again.
+        # The server keeps no slot of a region it no longer reads: a
+        # depth-1 client's only slot goes back to FREE.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=1)
@@ -548,10 +516,7 @@ class TestReconnect:
         server.compose_once(clock.now_us())
         assert a.queue.statuses() == (FrameState.DRAWING,)
         server.disconnect(desc, "watchdog")
-        shm.write_detach_flag(buf, desc.header, 0)
-        server.reconnect_client(desc.id, buf)
         assert a.queue.statuses() == (FrameState.FREE,)
-        assert a.try_begin_frame() is not None
 
 
 class TestPreservation:
@@ -749,7 +714,7 @@ class TestDamage:
         rng = random.Random(seed)
         clock = SimClock()
         server, sink = make_server(clock=clock, sink=FailOnceSink())
-        clients = {}      # client id -> [buf, session, saved header bytes]
+        clients = {}      # client id -> (buf, session)
 
         def add(rect):
             buf, session = make_client(clock, rect.width, rect.height,
@@ -757,15 +722,15 @@ class TestDamage:
                                        depth=rng.randint(1, 3),
                                        timeout_us=10_000_000)
             desc = server.register_client(buf, rect, 0.0)
-            clients[desc.id] = [buf, session, None]
+            clients[desc.id] = (buf, session)
 
         for rect in self.PLACEMENTS:
             add(rect)
         seen = {"new": 0, "held": 0, "empty": 0, "disconnected": 0,
-                "fault": 0, "reconnect": 0, "reuse": 0, "present-failure": 0}
+                "fault": 0, "reuse": 0, "present-failure": 0}
         for tick in range(150):
             clock.sleep_us(10_000)
-            for cid, (buf, session, _) in clients.items():
+            for cid, (buf, session) in clients.items():
                 desc = server.clients.get(cid)
                 if desc is None:
                     continue      # retired: its area went to a newer client
@@ -781,24 +746,14 @@ class TestDamage:
             roll = rng.random()
             if roll < 0.05 and active:
                 # garbage header: compose disconnects it as a fault
-                entry = clients[rng.choice(active).id]
-                entry[2] = bytes(entry[0][:16])
-                entry[0][:16] = b"\xde\xad\xbe\xef" * 4
+                buf, _ = clients[rng.choice(active).id]
+                buf[:16] = b"\xde\xad\xbe\xef" * 4
                 seen["fault"] += 1
             elif roll < 0.12 and active:
                 server.disconnect(rng.choice(active), "watchdog")
-            elif roll < 0.17 and gone:
+            elif roll < 0.30 and gone:
                 add(rng.choice(gone).placement)
                 seen["reuse"] += 1
-            elif roll < 0.30 and gone:
-                desc = rng.choice(gone)
-                buf, _, header = clients[desc.id]
-                if header is not None:
-                    buf[:16] = header
-                    clients[desc.id][2] = None
-                shm.write_detach_flag(buf, desc.header, 0)
-                server.reconnect_client(desc.id, buf)
-                seen["reconnect"] += 1
             sink.fail = tick > 0 and rng.random() < 0.04
             target = server.target.surface
             try:
@@ -906,9 +861,9 @@ class TestDamage:
         fill_drawing_slot(a)
 
         other_buf, _ = make_client(clock)
-        with pytest.raises(AlreadyConnected):
-            server.register_client(other_buf, dc.placement, 1, client_id=da.id)
-        assert server.clients[dc.id] is dc
+        with pytest.raises(PlacementConflict):
+            server.register_client(other_buf, da.placement, 1)
+        assert server.clients == {da.id: da, dc.id: dc}
         server.compose_once(clock.now_us())
         assert server.target.surface.damage == (0, 0)
 
@@ -935,8 +890,6 @@ class TestDamage:
         assert dc.id not in server.clients
         assert [(e.client_id, e.reason) for e in server.events] == \
             [(dc.id, "watchdog")]
-        with pytest.raises(ClientNotFound, match="is not registered"):
-            server.reconnect_client(dc.id, c_buf)
 
     def test_failed_present_rereads_no_slot(self):
         # After a failed present the target already holds that tick's

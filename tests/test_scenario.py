@@ -48,9 +48,13 @@ SECTIONS = {
                           sink=_names, sink_dir=st.none() | _names,
                           watchdog_poll_s=_rates),
     # A timeout of 2 s covers two frame periods at any fps (the region
-    # rounds fps down, to at least 1).
-    ClientSpec: _every_field(ClientSpec, name=_names, fps=_rates,
-                             width=_sizes, height=_sizes,
+    # rounds fps down, to at least 1). The width (as a pitch of 4 bytes a
+    # pixel, rounded up), height and fps each fit a u32 header word.
+    ClientSpec: _every_field(ClientSpec, name=_names,
+                             fps=st.floats(min_value=0.0, exclude_min=True,
+                                           max_value=2.0**32, exclude_max=True),
+                             width=st.integers(1, 2**30 - 16),
+                             height=st.integers(1, 2**32 - 1),
                              queue_depth=_depths,
                              min_fps=st.floats(min_value=0.0,
                                                allow_infinity=False),
@@ -139,6 +143,11 @@ class TestConfigFormat:
         ("[client:a]\nfps = 48\ntimeout = 0.01\n",
          r"\[client:a\] timeout 10000us below two frame periods"),
         ("[client:a]\nwidth = 0\n", r"\[client:a\] width"),
+        ("[client:a]\nfps = 1e12\n",
+         r"\[client:a\] framerate 1000000000000 does not fit its u32"),
+        ("[client:a]\ntimeout = 1e20\n",
+         r"\[client:a\] timeout_us \d+ does not fit its u64 header word"),
+        ("[client:a]\ntimeout = 1e303\n", r"\[client:a\] timeout must be"),
         ("[run]\nduration = -1\n", r"\[run\] duration"),
         ("[run]\nduration = 0\n", r"\[run\] duration"),
         ("[run]\nduration = inf\n", r"\[run\] duration"),
@@ -148,7 +157,8 @@ class TestConfigFormat:
             "min-fps-inf", "min-fps-nan", "complexity-0",
             "complexity-negative", "slow-to-fps-0", "queue-depth-0",
             "queue-depth-9", "timeout-0", "timeout-inf",
-            "timeout-below-two-periods", "width-0", "duration-negative",
+            "timeout-below-two-periods", "width-0", "fps-over-u32",
+            "timeout-over-u64", "timeout-overflows-float", "duration-negative",
             "duration-0", "duration-inf", "watchdog-poll-0"])
     def test_out_of_range_value_rejected(self, text, named):
         with pytest.raises(ValueError, match=named):

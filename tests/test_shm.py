@@ -159,9 +159,13 @@ class TestTimingRule:
         make(60, 33_332, 1)
         make(60, 33_332, 8)
         make(2_000_000, 1, 1)
+        make(1, 2**64 - 1, 1)   # the largest timeout its u64 word holds
 
-    @pytest.mark.parametrize("kw", [dict(frame_padding=3000), dict(formats=())],
-                             ids=["padding-3000", "no-formats"])
+    @pytest.mark.parametrize("kw", [
+        dict(frame_padding=3000), dict(formats=()),
+        dict(geometry=SurfaceGeometry(64, 2**32, 256)),
+        dict(geometry=SurfaceGeometry(64, 48, 2**32))],
+        ids=["padding-3000", "no-formats", "height-over-u32", "pitch-over-u32"])
     def test_region_config_only(self, kw):
         with pytest.raises(ValueError):
             _region_config(30, 100_000, 2, **kw)

@@ -7,7 +7,7 @@ import pytest
 from counters_oracle import render_counters_reference
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, compute_pitch
 from fbcomp.widgets import (_TILE_PX, ANIMATION_PERIOD, MIN_SIDE,
-                            render_counters, render_pattern)
+                            _to_uint8, render_counters, render_pattern)
 
 
 def make_surface(side=128, fmt=PixelFormat.R8G8B8A8):
@@ -167,3 +167,24 @@ class TestPattern:
         render_pattern(a, 77)
         render_pattern(b, 77)
         assert a._raw.tobytes() == b._raw.tobytes()
+
+
+def test_field_cast_truncates_then_wraps():
+    # The field lies in [-20, 270]. Every value must become its truncation
+    # toward zero modulo 256 on any machine: 10 M uniform values plus the
+    # edges, in chunks to keep the scratch small.
+    edges = np.array([-20.0, -17.0, -1.0, -0.99, 0.0, 0.99, 255.0, 255.99,
+                      256.0, 264.3, 270.0], np.float32)
+    rng = np.random.default_rng(22)
+    chunks = [edges] + [rng.uniform(-20.0, 270.0, 1_000_000).astype(np.float32)
+                        for _ in range(10)]
+    for acc in chunks:
+        wide = np.empty(acc.shape, np.int16)
+        base = np.empty(acc.shape, np.uint8)
+        _to_uint8(acc, wide, base)
+        want = (np.trunc(acc).astype(np.int64) % 256).astype(np.uint8)
+        assert np.array_equal(base, want)
+    base = np.empty(3, np.uint8)
+    _to_uint8(np.array([-17.0, 256.0, 264.3], np.float32),
+              np.empty(3, np.int16), base)
+    assert base.tolist() == [239, 0, 8]
