@@ -66,6 +66,23 @@ class BenchConfig:
                           "positive and finite, or empty")
         scenario._require(1 <= self.queue_depth <= 8, "bench", "queue_depth",
                           self.queue_depth, "in 1..8")
+        scenario._require(self.complexity >= 1, "bench", "complexity",
+                          self.complexity, "at least 1")
+        # Every phase renders the counters widget, on the target and on
+        # each client, and the clients sit side by side on the target.
+        for key in ("target_width", "target_height", "client_width",
+                    "client_height"):
+            scenario._require(getattr(self, key) >= widgets.MIN_SIDE, "bench",
+                              key, getattr(self, key),
+                              f"at least {widgets.MIN_SIDE}")
+        scenario._require(
+            self.client_count * self.client_width <= self.target_width,
+            "bench", "client_width", self.client_width,
+            f"at most target_width / client_count "
+            f"({self.target_width} / {self.client_count})")
+        scenario._require(self.client_height <= self.target_height, "bench",
+                          "client_height", self.client_height,
+                          f"at most target_height ({self.target_height})")
 
 
 def load_bench_config(path) -> BenchConfig:

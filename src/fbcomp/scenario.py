@@ -204,6 +204,11 @@ class ClientSpec:
                  "min_fps", self.min_fps, "finite and not negative")
         _require(self.complexity >= 1, section, "complexity", self.complexity,
                  "at least 1")
+        if self.widget == "counters":
+            for key in ("width", "height"):
+                _require(getattr(self, key) >= widgets.MIN_SIDE, section, key,
+                         getattr(self, key),
+                         f"at least {widgets.MIN_SIDE} for the counters widget")
         _require(_positive(self.timeout_s * 1e6), section, "timeout",
                  self.timeout_s, "positive and finite in microseconds")
         try:
@@ -236,6 +241,9 @@ class TargetSpec:
                             metadata={"show": "0x{:08x}".format})
 
     def __post_init__(self):
+        _require(self.width >= 1, "target", "width", self.width, "at least 1")
+        _require(self.height >= 1, "target", "height", self.height,
+                 "at least 1")
         _require(_positive(self.rate), "target", "rate", self.rate,
                  "positive and finite")
 
@@ -264,6 +272,23 @@ class ScenarioConfig:
     target: TargetSpec = TargetSpec()
     run: RunSpec = RunSpec()
     clients: Tuple[ClientSpec, ...] = ()
+
+    def __post_init__(self):
+        # The server refuses a placement outside the target or over an
+        # active client; every client registers at the start of a run.
+        tw, th = self.target.width, self.target.height
+        for i, c in enumerate(self.clients):
+            section = f"client:{c.name}"
+            for key, at, side, size, room in (("x", c.x, "width", c.width, tw),
+                                              ("y", c.y, "height", c.height, th)):
+                _require(0 <= at and at + size <= room, section, key, at,
+                         f"at least 0 with {key} + {side} ({size}) at most "
+                         f"the target {side} {room}")
+            for other in self.clients[:i]:
+                if c.placement.overlaps(other.placement):
+                    raise ValueError(
+                        f"[{section}] placement {c.placement} overlaps "
+                        f"[client:{other.name}] {other.placement}")
 
     def serialize(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)

@@ -171,12 +171,17 @@ class ChecksumSink:
             b0, b1, prefix, suffix, suffix_len = 0, height, 0, 0, 0
         buf = surface.buffer()
         pitch = surface.geometry.pitch
-        prefix = crc32(buf[b0 * pitch:y0 * pitch], prefix)
+        # An empty span is skipped, not CRCed: crc32(b"", v) == v and
+        # combining with zero bytes is the identity, so when the damage is
+        # the cached band this is one CRC and at most one combine.
+        if b0 < y0:
+            prefix = crc32(buf[b0 * pitch:y0 * pitch], prefix)
         head = crc32(buf[y0 * pitch:y1 * pitch], prefix)
-        suffix = self._combine(crc32(buf[y1 * pitch:b1 * pitch]),
-                               suffix, suffix_len)
-        suffix_len += (b1 - y1) * pitch
-        self._crc = self._combine(head, suffix, suffix_len)
+        if y1 < b1:
+            suffix = self._combine(crc32(buf[y1 * pitch:b1 * pitch]),
+                                   suffix, suffix_len)
+            suffix_len += (b1 - y1) * pitch
+        self._crc = self._combine(head, suffix, suffix_len) if suffix_len else head
         self._last, self._band = surface, (y0, y1)
         self._prefix, self._suffix, self._suffix_len = prefix, suffix, suffix_len
         return self._crc

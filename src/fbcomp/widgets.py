@@ -11,11 +11,27 @@ with `complexity`, which is what the overhead benchmarks lean on.
 It draws straight into the surface, channel by channel at the format's
 byte offsets, with no scratch frame. The field is computed one band of
 rows at a time (about _TILE_PX pixels), and each band is cast and stored
-while its scratch is still in cache. What it keeps between frames lives
-in `_grid_cache`, one entry per (width, height): the float32 fields the
-interference pass reads, one band's scratch, and the dial ring's and
-needle disc's flat pixel indices sorted by their overlay key, so that
-each frame tests only the points near the ticks and the needle.
+while its scratch is still in cache.
+
+Two of the five transcendental factors of each field pass read only the
+radius, and the radius grid is symmetric about the dial's horizontal
+axis: row h-1-y holds exactly the values of row y. That is exact, not
+approximate. With cy = (h-1)/2, the offset y - cy is a multiple of 1/2
+well inside float32's 24-bit significand, so (h-1-y) - cy is exactly
+-(y - cy); and C99/C11 Annex F requires hypot(x, -y) to equal
+hypot(x, y). So those two factors are computed once per band of the top
+half and applied to that band and, through a row-reversed view, to its
+mirror band in the bottom half; every byte is the one a full-frame pass
+gives.
+
+What it keeps between frames lives in `_grid_cache`, one entry per
+(width, height): the float32 fields the interference pass reads (the
+radius computed for the top half and mirrored into the bottom half), one
+band's scratch, the radius factors of one band for each pass a frame has
+asked for so far, and the dial ring's and needle disc's flat pixel
+indices sorted by their overlay key, so that each frame tests only the
+points near the ticks and the needle. The overlays are painted as whole
+little-endian u32 pixels.
 """
 
 from __future__ import annotations
@@ -66,21 +82,30 @@ def _grids(w: int, h: int):
     """Build, or fetch, the state for a w x h dial.
 
     Holds the full-frame float32 angle, radius and mix fields of the
-    interference pass; the scratch of one band of min(h, _TILE_PX // w)
-    rows (float32 "acc", "wave" and "tmp", int16 "wide" and uint8 "base"
-    for the cast, uint8 "chan" for the green and blue channels), so no
-    full-frame scratch is kept; and for each overlay its points in key
-    order: the ring's flat pixel indices sorted by tick phase
-    ("ring_frac", in [0, 5]) and the needle disc's sorted by angle
+    interference pass, the angle built from a column of y offsets and a
+    row of x offsets and the radius from the top half, mirrored; the
+    scratch of one band of min(h, _TILE_PX // w) rows (float32 "acc",
+    "wave" and "tmp", int16 "wide" and uint8 "base" for the cast, uint8
+    "chan" for the green and blue channels), so no full-frame scratch is
+    kept; "radial", one (cos, sin) pair of band-sized float32 radius
+    factors per pass, grown by `_radial_scratch`; and for each overlay
+    its points in key order: the ring's flat pixel indices sorted by tick
+    phase ("ring_frac", in [0, 5]) and the needle disc's sorted by angle
     ("inner_ang", in [-pi, pi]).
     """
     key = (w, h)
     cached = _grid_cache.get(key)
     if cached is None:
-        yy, xx = np.mgrid[0:h, 0:w].astype(np.float32)
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-        ang = np.arctan2(yy - cy, xx - cx)
-        rad = np.hypot(xx - cx, yy - cy) / (min(w, h) / 2.0)
+        dy = np.arange(h, dtype=np.float32)[:, None] - cy
+        dx = np.arange(w, dtype=np.float32)[None, :] - cx
+        ang = np.arctan2(dy, dx)
+        # Row h-1-y has the radii of row y (module docstring).
+        half = (h + 1) // 2
+        rad = np.empty((h, w), np.float32)
+        np.hypot(dx, dy[:half], out=rad[:half])
+        rad[:half] /= min(w, h) / 2.0
+        rad[half:] = rad[:h - half][::-1]
         ring = np.flatnonzero((rad > 0.62) & (rad < 0.86))
         inner = np.flatnonzero(rad < 0.6)
         ring_frac = (ang.ravel()[ring] * (60.0 / (2.0 * np.pi))) % 5.0
@@ -106,6 +131,7 @@ def _grids(w: int, h: int):
             "wide": np.empty(band, np.int16),
             "base": np.empty(band, np.uint8),
             "chan": np.empty(band, np.uint8),
+            "radial": [],
         }
         if len(_grid_cache) > 8:
             _grid_cache.clear()
@@ -113,23 +139,48 @@ def _grids(w: int, h: int):
     return cached
 
 
-def _field(acc, wave, tmp, ang, rad, mix, phase01: float, complexity: int):
+def _radial_scratch(grids, complexity: int):
+    """The first `complexity` (cos, sin) factor pairs of `grids["radial"]`,
+    band-sized; pairs are added when a frame asks for more passes."""
+    radial = grids["radial"]
+    band = grids["acc"].shape
+    while len(radial) < complexity:
+        radial.append((np.empty(band, np.float32), np.empty(band, np.float32)))
+    return radial[:complexity]
+
+
+def _radial(factors, rad, phase01: float) -> None:
+    """The two factors of each pass that read only the radius, into
+    `factors`: cos((5+i)*pi*rad - p) and 0.75 + 0.25*sin((9+i)*rad - 2p),
+    with the ops and constants of a full-frame pass."""
+    for i, (fcos, fsin) in enumerate(factors):
+        p = 2.0 * np.pi * phase01 * (i + 1)
+        np.multiply(rad, (5.0 + i) * np.pi, out=fcos)
+        fcos -= p
+        np.cos(fcos, out=fcos)
+        np.multiply(rad, 9.0 + i, out=fsin)
+        fsin -= 2.0 * p
+        np.sin(fsin, out=fsin)
+        fsin *= 0.25
+        fsin += 0.75
+
+
+def _field(acc, wave, tmp, ang, mix, factors, phase01: float):
     """Interference field of one band of rows, into `acc`.
 
-    Each complexity step is one more pass of in-place ops over the band's
-    scratch; pass 0 writes into acc itself. Every op is pointwise, so a
-    band gets the same values as the same rows of a full-frame pass.
+    Each pair of `factors` (from `_radial`) is one more pass of in-place
+    ops over the band's scratch; pass 0 writes into acc itself. Every op
+    is pointwise, so a band gets the same values as the same rows of a
+    full-frame pass.
     """
-    for i in range(complexity):
+    complexity = len(factors)
+    for i, (fcos, fsin) in enumerate(factors):
         term = acc if i == 0 else wave
         p = 2.0 * np.pi * phase01 * (i + 1)
         np.multiply(ang, 6 + 2 * i, out=term)
         term += p
         np.sin(term, out=term)
-        np.multiply(rad, (5.0 + i) * np.pi, out=tmp)
-        tmp -= p
-        np.cos(tmp, out=tmp)
-        term *= tmp
+        term *= fcos
         np.multiply(mix, 1.0 + 0.5 * i, out=tmp)
         tmp -= p
         np.sin(tmp, out=tmp)
@@ -140,17 +191,30 @@ def _field(acc, wave, tmp, ang, rad, mix, phase01: float, complexity: int):
         np.cos(tmp, out=tmp)
         tmp *= 0.20
         term += tmp
-        np.multiply(rad, 9.0 + i, out=tmp)
-        tmp -= 2.0 * p
-        np.sin(tmp, out=tmp)
-        tmp *= 0.25
-        tmp += 0.75
-        term *= tmp
+        term *= fsin
         if i:
             acc += term
     acc /= complexity
     acc += 1.25
     acc *= 100.0
+
+
+def _field_band(grids, px, off, y0: int, y1: int, factors, phase01: float):
+    """Render field rows [y0, y1) of `px` with the radius `factors` of
+    those rows: the field, its cast, and the four channel stores."""
+    acc, wave, tmp, wide, base, chan = (
+        grids[k][:y1 - y0] for k in ("acc", "wave", "tmp", "wide", "base", "chan"))
+    _field(acc, wave, tmp, grids["ang"][y0:y1], grids["mix"][y0:y1],
+           factors, phase01)
+    _to_uint8(acc, wide, base)
+    band = px[y0:y1]
+    band[..., off["r"]] = base
+    np.right_shift(base, 1, out=chan)
+    chan += 40
+    band[..., off["g"]] = chan
+    np.subtract(255, base, out=chan)
+    band[..., off["b"]] = chan
+    band[..., off["a"]] = 255
 
 
 def _to_uint8(acc, wide, base) -> None:
@@ -173,10 +237,14 @@ def _window(keys: np.ndarray, spans) -> np.ndarray:
 
 
 def _paint(px: np.ndarray, flat: np.ndarray, fmt: PixelFormat, rgba) -> None:
-    """Set the pixels at flat indices `flat` (y * width + x) to `rgba`."""
+    """Set the pixels at flat indices `flat` (y * width + x) to `rgba`.
+
+    One store per pixel, through a little-endian u32 view of the pixel
+    rows: the same bytes as four channel stores, at any pitch (an
+    unaligned view is allowed).
+    """
     rows, cols = np.divmod(flat, px.shape[1])
-    px[rows, cols] = np.frombuffer(
-        pack_channels(fmt, *rgba).to_bytes(4, "little"), np.uint8)
+    px.view("<u4")[rows, cols, 0] = pack_channels(fmt, *rgba)
 
 
 def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
@@ -192,7 +260,8 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
     with the same constants, on row slices of the angle, radius and mix
     fields, into scratch sized for one band. Every op is pointwise, so
     any band height gives the bytes a full-frame pass gives; the band
-    size only sets how much stays in cache between ops.
+    size only sets how much stays in cache between ops. A bottom-half
+    band reads the radius factors of its mirror band in the top half.
 
     The tick and needle tests are the full-frame ones, run only on the
     points whose sorted key lies within the test's width plus _SLACK of
@@ -211,30 +280,31 @@ def render_counters(surface: Surface, t: float, complexity: int = 1) -> None:
     tt = t % ANIMATION_PERIOD
     phase01 = tt / ANIMATION_PERIOD
     grids = _grids(g.width, g.height)
-    ang, rad, mix = grids["ang"], grids["rad"], grids["mix"]
 
     # Interference field, one band of rows at a time: the band is cast and
-    # stored while its scratch is still in cache.
+    # stored while its scratch is still in cache. Each band of the top
+    # half [0, half) computes its radius factors once and shares them
+    # with its mirror band of the bottom half; an odd height's middle row
+    # belongs to the top half only.
     fmt = surface.format
     off = channel_offsets(fmt)
     px = surface.pixels()
+    h = g.height
+    half = (h + 1) // 2
     step = grids["acc"].shape[0]
-    for y0 in range(0, g.height, step):
-        y1 = min(y0 + step, g.height)
-        acc, wave, tmp, wide, base, chan = (
-            grids[k][:y1 - y0]
-            for k in ("acc", "wave", "tmp", "wide", "base", "chan"))
-        _field(acc, wave, tmp, ang[y0:y1], rad[y0:y1], mix[y0:y1],
-               phase01, complexity)
-        _to_uint8(acc, wide, base)
-        band = px[y0:y1]
-        band[..., off["r"]] = base
-        np.right_shift(base, 1, out=chan)
-        chan += 40
-        band[..., off["g"]] = chan
-        np.subtract(255, base, out=chan)
-        band[..., off["b"]] = chan
-        band[..., off["a"]] = 255
+    radial = _radial_scratch(grids, complexity)
+    for y0 in range(0, half, step):
+        y1 = min(y0 + step, half)
+        factors = [(c[:y1 - y0], s[:y1 - y0]) for c, s in radial]
+        _radial(factors, grids["rad"][y0:y1], phase01)
+        _field_band(grids, px, off, y0, y1, factors, phase01)
+        # Rows [m0, h - y0) mirror top rows [y0, y0 + n), last first.
+        m0 = max(h - y1, half)
+        n = h - y0 - m0
+        if n > 0:
+            _field_band(grids, px, off, m0, h - y0,
+                        [(c[:n][::-1], s[:n][::-1]) for c, s in factors],
+                        phase01)
 
     # Dial: 60 ticks rotating one revolution per period. A point ticks
     # when ring_frac + shift, taken mod 5, is below _TICK_WIDTH.

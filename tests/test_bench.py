@@ -17,8 +17,11 @@ class TestLoadBenchConfig:
         assert self.load(tmp_path, "[bench]\n") == BenchConfig()
 
     def test_duration_key_sets_duration_s(self, tmp_path):
-        config = self.load(tmp_path, "[bench]\nduration = 2.5\nclient_count = 3\n")
-        assert config == BenchConfig(duration_s=2.5, client_count=3)
+        # Three clients fit side by side only if narrower than the default.
+        config = self.load(tmp_path, "[bench]\nduration = 2.5\nclient_count = 3\n"
+                                     "client_width = 512\n")
+        assert config == BenchConfig(duration_s=2.5, client_count=3,
+                                     client_width=512)
 
     def test_compose_rate_stays_optional(self, tmp_path):
         assert self.load(tmp_path, "[bench]\n").compose_rate is None
@@ -42,8 +45,19 @@ class TestLoadBenchConfig:
         ("[bench]\ncompose_rate = -30\n", "compose_rate"),
         ("[bench]\nqueue_depth = 0\n", "queue_depth"),
         ("[bench]\nqueue_depth = 9\n", "queue_depth"),
+        ("[bench]\nclient_width = 0\n", "client_width must be at least 64"),
+        ("[bench]\nclient_height = 63\n", "client_height must be at least 64"),
+        ("[bench]\ntarget_width = -1\n", "target_width must be at least 64"),
+        ("[bench]\ntarget_height = 0\n", "target_height must be at least 64"),
+        ("[bench]\nclient_count = 3\n", "client_width must be at most"),
+        ("[bench]\nclient_height = 901\n", "client_height must be at most"),
+        ("[bench]\ncomplexity = 0\n", "complexity"),
     ], ids=["client-count-0", "duration-0", "duration-inf", "compose-rate-0",
-            "compose-rate-negative", "queue-depth-0", "queue-depth-9"])
+            "compose-rate-negative", "queue-depth-0", "queue-depth-9",
+            "client-width-0", "client-height-below-min-side",
+            "target-width-negative", "target-height-0",
+            "clients-wider-than-target", "client-taller-than-target",
+            "complexity-0"])
     def test_out_of_range_value_rejected(self, tmp_path, text, named):
         with pytest.raises(ValueError, match=r"\[bench\] " + named):
             self.load(tmp_path, text)
@@ -82,7 +96,8 @@ class TestTrajectory:
             name = "trace.overhead_frac" if trace else "compose_ms.p50"
             return {"correct": True, "attempted": 10, "failed": 0,
                     "metrics": {name: {"value": float(seed), "unit": "ms"}},
-                    "wall_s": 2.0 * seed}
+                    "wall_s": 2.0 * seed, "ticks": 100 * seed,
+                    "timed_s": 1.5 * seed}
 
         monkeypatch.setattr(traj, "run_once", fake_run_once)
         monkeypatch.setattr(traj, "ROOT", tmp_path)
@@ -102,7 +117,15 @@ class TestTrajectory:
                 {"median": 2.0, "unit": "ms", "runs": [1.0, 2.0, 3.0]}
             assert "trace.overhead_frac" in entry["per_layer"]
             assert entry["wall_s"] == {"untraced": [2.0, 4.0, 6.0], "traced": 2.0}
+            assert entry["ticks"] == {"untraced": [100, 200, 300], "traced": 100}
+            assert entry["timed_s"] == {"untraced": [1.5, 3.0, 4.5], "traced": 1.5}
             assert entry["correct"] and entry["failed"] == 0
         assert point["seeds"] == [1, 2, 3]
         assert calls.count(("mosaic-8x384", traj.TRACED_SEED, 1)) == 1
         assert len(calls) == (len(traj.SEEDS) + 1) * len(traj.WORKLOADS)
+
+    def test_reads_ticks_and_timed_seconds_from_the_summary_line(self):
+        summary = _load_trajectory().SUMMARY.search(
+            "host: python 3.11\nworkload faults-4x384, seed 2: 12345 ticks, "
+            "205.75 s simulated, 30.01 s in timed calls, 412 output checks\n")
+        assert (int(summary[1]), float(summary[2])) == (12345, 30.01)

@@ -130,10 +130,16 @@ class TestConfigErrors:
         ("run", "[run]\nduration = -1\n"),
         ("bench", "[bench]\nqueue_depth = 0\n"),
         ("run", "[client:a]\ntimeout = 1e303\n"),
+        ("run", "[target]\nwidth = 0\n[client:a]\n"),
+        ("run", "[client:a]\nx = 2000\n"),
+        ("run", "[client:a]\n[client:b]\nx = 700\n"),
+        ("bench", "[bench]\nclient_width = 0\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
             "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
             "run-duration-negative", "bench-queue-depth-0",
-            "run-timeout-overflows-float"])
+            "run-timeout-overflows-float", "run-target-width-0",
+            "run-x-outside-target", "run-overlapping-placements",
+            "bench-client-width-0"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fbcomp import regions, shm
 from fbcomp.bench import BenchConfig
 from fbcomp.pixel import PixelFormat
+from fbcomp.widgets import MIN_SIDE
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
                              TargetSpec, from_section, load_scenario,
                              parse_scenario, run_scenario, to_section)
@@ -24,6 +25,8 @@ _rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Text that survives the INI file: nothing stripped, no line breaks.
 _names = st.text("abcxyz019_./-", min_size=1, max_size=12)
 _sizes = st.integers(min_value=1)
+# Sides the counters widget renders: every bench phase draws it.
+_sides = st.integers(min_value=MIN_SIDE)
 _depths = st.integers(1, 8)
 _faults = st.tuples(
     st.sampled_from(["stall", "crash", "garbage-header", "flip-status",
@@ -42,7 +45,8 @@ def _every_field(cls, **given):
 
 
 SECTIONS = {
-    TargetSpec: _every_field(TargetSpec, rate=_rates,
+    TargetSpec: _every_field(TargetSpec, width=_sizes, height=_sizes,
+                             rate=_rates,
                              background=st.integers(0, 2**32 - 1)),
     RunSpec: _every_field(RunSpec, duration_s=_rates, clock=_names,
                           sink=_names, sink_dir=st.none() | _names,
@@ -61,10 +65,37 @@ SECTIONS = {
                              complexity=st.integers(min_value=1),
                              timeout_s=st.floats(2.0, 1e9), widget=_names,
                              faults=st.lists(_faults, max_size=3).map(tuple)),
-    BenchConfig: _every_field(BenchConfig, duration_s=_rates, sink=_names,
-                              client_count=_sizes, queue_depth=_depths,
-                              compose_rate=st.none() | _rates),
+    BenchConfig: st.tuples(_sizes, _sides, _sides).flatmap(
+        lambda sizes: _every_field(
+            BenchConfig, duration_s=_rates, sink=_names,
+            client_count=st.just(sizes[0]), client_width=st.just(sizes[1]),
+            client_height=st.just(sizes[2]),
+            # The clients sit side by side on the target.
+            target_width=st.integers(min_value=sizes[0] * sizes[1]),
+            target_height=st.integers(min_value=sizes[2]),
+            complexity=_sizes, queue_depth=_depths,
+            compose_rate=st.none() | _rates)),
 }
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenarios a run accepts: up to three clients, each placed inside
+    its own column strip of the target, so none overlaps another."""
+    target = draw(SECTIONS[TargetSpec])
+    specs = draw(st.lists(SECTIONS[ClientSpec], max_size=min(3, target.width),
+                          unique_by=lambda c: c.name))
+    clients = []
+    for i, spec in enumerate(specs):
+        x0 = i * target.width // len(specs)
+        x1 = (i + 1) * target.width // len(specs)
+        width = draw(st.integers(1, min(x1 - x0, 2**30 - 16)))
+        height = draw(st.integers(1, min(target.height, 2**32 - 1)))
+        clients.append(replace(
+            spec, width=width, height=height,
+            x=draw(st.integers(x0, x1 - width)),
+            y=draw(st.integers(0, target.height - height))))
+    return ScenarioConfig(target, draw(SECTIONS[RunSpec]), tuple(clients))
 
 
 def two_client_config(duration_s=1.0, clock="sim", sink="checksum", **kw):
@@ -99,11 +130,8 @@ class TestConfigFormat:
         assert from_section(cls, to_section(spec), **title) == spec
 
     @settings(max_examples=50, deadline=None)
-    @given(SECTIONS[TargetSpec], SECTIONS[RunSpec],
-           st.lists(SECTIONS[ClientSpec], max_size=3,
-                    unique_by=lambda c: c.name).map(tuple))
-    def test_scenario_text_round_trip(self, target, run, clients):
-        config = ScenarioConfig(target, run, clients)
+    @given(_scenarios())
+    def test_scenario_text_round_trip(self, config):
         assert parse_scenario(config.serialize()) == config
 
     @pytest.mark.parametrize("text, named", [
@@ -152,6 +180,17 @@ class TestConfigFormat:
         ("[run]\nduration = 0\n", r"\[run\] duration"),
         ("[run]\nduration = inf\n", r"\[run\] duration"),
         ("[run]\nwatchdog_poll = 0\n", r"\[run\] watchdog_poll"),
+        ("[target]\nwidth = 0\n", r"\[target\] width"),
+        ("[target]\nheight = -1\n", r"\[target\] height"),
+        ("[client:a]\nx = 2000\n", r"\[client:a\] x .* target width 1600"),
+        ("[client:a]\ny = -1\n", r"\[client:a\] y must be at least 0"),
+        ("[client:a]\nwidth = 2000\nheight = 64\n",
+         r"\[client:a\] x .* x \+ width \(2000\)"),
+        ("[target]\nwidth = 512\n[client:a]\n", r"\[client:a\] x .* 512"),
+        ("[client:a]\n[client:b]\nx = 700\n",
+         r"\[client:b\] placement .* overlaps \[client:a\]"),
+        ("[client:a]\nwidget = counters\nwidth = 32\nheight = 64\n",
+         r"\[client:a\] width must be at least 64"),
     ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan", "fps-0",
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
@@ -159,7 +198,10 @@ class TestConfigFormat:
             "queue-depth-9", "timeout-0", "timeout-inf",
             "timeout-below-two-periods", "width-0", "fps-over-u32",
             "timeout-over-u64", "timeout-overflows-float", "duration-negative",
-            "duration-0", "duration-inf", "watchdog-poll-0"])
+            "duration-0", "duration-inf", "watchdog-poll-0", "target-width-0",
+            "target-height-negative", "x-outside-target", "y-negative",
+            "wider-than-target", "client-wider-than-small-target",
+            "overlapping-placements", "counters-below-min-side"])
     def test_out_of_range_value_rejected(self, text, named):
         with pytest.raises(ValueError, match=named):
             parse_scenario(text)

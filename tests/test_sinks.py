@@ -120,6 +120,39 @@ class TestChecksumSinkDamage:
         with pytest.raises(ValueError):
             sink.present(a, 0)
 
+    @pytest.mark.parametrize("band,combines", [
+        ((25, 40), 0), ((0, 40), 0), ((0, 12), 1), ((10, 25), 1)],
+        ids=["bottom", "whole", "top", "middle"])
+    def test_damage_equal_to_band_costs_one_crc(self, monkeypatch, band, combines):
+        # The steady state of a compose loop: the same rows change every
+        # tick. Only those rows are CRCed, and only a band with rows below
+        # it pays a combine (the shift operator of those rows is cached).
+        s = Surface.allocate(SurfaceGeometry.for_width(16, 40), PixelFormat.R8G8B8A8)
+        rng = random.Random(4)
+        sink = ChecksumSink()
+        calls = {"crc32": 0, "multmodp": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        y0, y1 = band
+        for tick in range(4):
+            s.pixels()[y0:y1] = np.frombuffer(
+                rng.randbytes((y1 - y0) * 16 * 4), np.uint8).reshape(-1, 16, 4)
+            s.damage = band
+            if tick == 2:
+                monkeypatch.setattr(sinks, "crc32", counted("crc32", sinks.crc32))
+                monkeypatch.setattr(sinks, "_multmodp",
+                                    counted("multmodp", sinks._multmodp))
+            sink.present(s, tick)
+            if tick == 2:
+                monkeypatch.undo()
+                assert calls == {"crc32": 1, "multmodp": combines}
+            assert sink.checksums()[-1] == frame_checksum(s)
+
 
 class TestImageSequence:
     def test_three_presents_three_files_plus_index(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from counters_oracle import render_counters_reference
 from fbcomp.pixel import PixelFormat, Surface, SurfaceGeometry, compute_pitch
-from fbcomp.widgets import (_TILE_PX, ANIMATION_PERIOD, MIN_SIDE,
+from fbcomp.widgets import (_TILE_PX, ANIMATION_PERIOD, MIN_SIDE, _grids,
                             _to_uint8, render_counters, render_pattern)
 
 
@@ -126,20 +126,42 @@ def _assert_matches_reference(width, height, pitch, fmt, complexity, t):
         f"t {t!r}")
 
 
-@pytest.mark.parametrize("width,height", [
+_SIZES = [
     (MIN_SIDE, MIN_SIDE), (100, 77), (333, 201), (768, 768),
     (_BAND_W, _BAND_ROWS - 1), (_BAND_W, _BAND_ROWS), (_BAND_W, _BAND_ROWS + 1),
-    (1600, 70)])
-def test_matches_reference_renderer(width, height):
-    # The banded field, the windowed overlays and the direct slot write
-    # must reproduce the full-frame renderer byte for byte, row padding
-    # included.
+    (1600, 70),
+    # The middle of the frame on a band edge: the top half, which the
+    # bottom half mirrors, ends one row before, at or one row after the
+    # end of the first band.
+    (_BAND_W, 2 * _BAND_ROWS - 1), (_BAND_W, 2 * _BAND_ROWS),
+    (_BAND_W, 2 * _BAND_ROWS + 1)]
+
+
+@pytest.mark.parametrize("width,height,complexities", [
+    *(pytest.param(w, h, (1, 2, 3), id=f"{w}-{h}") for w, h in _SIZES),
+    # More passes than any size above renders, so the per-pass radius
+    # factor scratch of a size grows.
+    pytest.param(333, 201, (5,), id="333-201-c5"),
+    pytest.param(_BAND_W, 2 * _BAND_ROWS + 1, (5,),
+                 id=f"{_BAND_W}-{2 * _BAND_ROWS + 1}-c5")])
+def test_matches_reference_renderer(width, height, complexities):
+    # The banded field with its mirrored radius factors, the windowed
+    # overlays and the direct slot write must reproduce the full-frame
+    # renderer byte for byte, row padding included.
     shifts = [(60.0 * (t % ANIMATION_PERIOD) / ANIMATION_PERIOD) % 5.0
               for t in EDGE_TIMES]
     assert 4.99 < shifts[2] < 5.0 and 0.0 < shifts[3] < 0.01
+    # The mirrored radius and the broadcast angle are the full-grid ones
+    # on this host: hypot(x, -y) == hypot(x, y), as C Annex F requires.
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float32)
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    grids = _grids(width, height)
+    assert np.array_equal(grids["rad"], np.hypot(xx - cx, yy - cy)
+                          / (min(width, height) / 2.0))
+    assert np.array_equal(grids["ang"], np.arctan2(yy - cy, xx - cx))
     for fmt in PixelFormat:
         for pitch in (width * 4, width * 4 + 64):
-            for complexity in (1, 2, 3):
+            for complexity in complexities:
                 for t in EDGE_TIMES:
                     _assert_matches_reference(width, height, pitch, fmt,
                                               complexity, t)

@@ -9,9 +9,12 @@ workload of layerbench/run.py it makes one untraced run per seed in SEEDS
 run.py's default `--seconds`, each in a process of its own and one after
 the other. It writes at the root of the checkout the median of every
 end-to-end metric with its per-run values, the per-layer metrics of the
-traced run, the wall-clock seconds of each run, the number of non-blank
-lines in `src/**/*.py` (`src_lines`, the size of the program measured),
-and the host: Python, numpy, nproc, platform and the CRC-32 backend
+traced run, the wall-clock seconds of each run beside its compose ticks
+and its seconds in timed calls (from run.py's summary line: a run stops
+on timed-call time, so a faster stack replays more ticks, and each tick
+brings untimed output checks), the number of non-blank lines in
+`src/**/*.py` (`src_lines`, the size of the program measured), and the
+host: Python, numpy, nproc, platform and the CRC-32 backend
 (`fbcomp.sinks.CRC32_BACKEND`). Seeds and run length are fixed so that
 every point means the same thing. Times are layerbench's host-scaled
 values; compare points made on the same host in the same sitting.
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -34,10 +38,14 @@ RUN = ROOT / "layerbench" / "run.py"
 WORKLOADS = ("reference-2x768", "mosaic-8x384", "faults-4x384")
 SEEDS = (1, 2, 3)
 TRACED_SEED = 1
+# run.py's summary line: "workload W, seed N: T ticks, ... s simulated,
+# S s in timed calls, ..."
+SUMMARY = re.compile(r": (\d+) ticks, .*, ([\d.]+) s in timed calls")
 
 
 def run_once(workload: str, seed: int, trace: int) -> dict:
-    """One layerbench run; its closing JSON line plus its wall time."""
+    """One layerbench run: its closing JSON line plus its wall time, its
+    compose ticks and its seconds in timed calls."""
     cmd = [sys.executable, str(RUN), "--workload", workload, "--seed",
            str(seed), "--trace", str(trace)]
     t0 = time.perf_counter()
@@ -48,6 +56,10 @@ def run_once(workload: str, seed: int, trace: int) -> dict:
                          f"{done.stderr}")
     out = json.loads(done.stdout.strip().splitlines()[-1])
     out["wall_s"] = round(wall, 2)
+    summary = SUMMARY.search(done.stdout)
+    if summary is None:
+        raise SystemExit(f"{' '.join(cmd)}: no summary line in its output")
+    out["ticks"], out["timed_s"] = int(summary[1]), float(summary[2])
     return out
 
 
@@ -78,8 +90,8 @@ def workload_point(workload: str) -> dict:
                    "runs": [r["metrics"][name]["value"] for r in plain]}
             for name in names},
         "per_layer": traced["metrics"],
-        "wall_s": {"untraced": [r["wall_s"] for r in plain],
-                   "traced": traced["wall_s"]},
+        **{key: {"untraced": [r[key] for r in plain], "traced": traced[key]}
+           for key in ("wall_s", "ticks", "timed_s")},
         "correct": all(r["correct"] for r in plain + [traced]),
         "failed": sum(r["failed"] for r in plain + [traced]),
     }
