@@ -10,9 +10,9 @@ from .errors import (CorruptRegion, FramebufferError, IncompatibleProtocol,
                      PlacementConflict, PresentFailure, ProtocolViolation,
                      RegionTooSmall, ServerUnavailable, SessionLost, UsageError)
 from .frame_queue import FrameHandle, FrameQueue, FrameState, QueueMode
-from .pixel import (FramebufferContext, PixelFormat, Rect, Surface,
-                    SurfaceGeometry, blit, compute_pitch, convert_pixel,
-                    pack_channels, unpack_channels)
+from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
+                    compute_pitch, convert_pixel, pack_channels,
+                    unpack_channels)
 from .client import ClientSession, connect_session, open_direct_session
 from .compositor import (ClientDescriptor, ClientState, CompositionTarget,
                          CompositorServer, DisconnectEvent)

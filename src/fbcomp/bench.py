@@ -29,11 +29,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional
 
-from . import scenario, sinks, widgets
+from . import scenario, shm, sinks, widgets
 from .client import open_direct_session
 from .clock import WallClock
 from .frame_queue import QueueMode
-from .pixel import FramebufferContext, PixelFormat, Surface, SurfaceGeometry
+from .pixel import PixelFormat, Surface, SurfaceGeometry
+
+
+SINKS = ("null", "checksum")  # the sinks that need no directory
 
 
 @dataclass(frozen=True)
@@ -49,13 +52,14 @@ class BenchConfig:
     # One queue slot is always pinned by the server's held frame, so a
     # deeper queue keeps free-running clients from stalling on a slot.
     queue_depth: int = 5
-    sink: str = "checksum"
+    sink: str = "checksum"           # one of SINKS
     # Compositor tick rate for the composited phases. None picks
     # 0.95 x the direct fps measured in the same run, so the output-rate
     # comparison tests compose overhead rather than an arbitrary cap.
     compose_rate: Optional[float] = None
 
     def __post_init__(self):
+        scenario._require_one_of(SINKS, "bench", "sink", self.sink)
         scenario._require(self.client_count >= 1, "bench", "client_count",
                           self.client_count, "at least 1")
         scenario._require(scenario._positive(self.duration_s), "bench",
@@ -201,10 +205,10 @@ def measure_framebuffer(config: BenchConfig, duration_s: float) -> float:
     """Phase b: the same loop through the frame-queue session API."""
     clock = WallClock()
     sink = sinks.make_sink(config.sink)
-    context = FramebufferContext(
-        geometry=_target_geometry(config), format=config.format,
-        framerate=1000, timeout_us=10_000_000, queue_depth=config.queue_depth)
-    session = open_direct_session(context, sink, clock)
+    session = open_direct_session(shm.RegionConfig(
+        geometry=_target_geometry(config), formats=(config.format,),
+        framerate=1000, timeout_us=10_000_000, queue_depth=config.queue_depth),
+        sink, clock)
     frames = 0
     start = clock.now_us()
     end = start + int(duration_s * 1e6)

@@ -7,9 +7,10 @@ Subcommands:
   replay <index-file>    re-verify an emitted frame sequence
 
 Exit codes: 0 when no invariant violations, mismatches or malformed
-regions were found, 1 when some were, 2 for a bad command line or a
-scenario or suite file that cannot be read or does not load (one
-`fbcomp: error:` line on stderr, as argparse reports a bad command line).
+regions were found, 1 when some were, 2 for a bad command line, a
+scenario or suite file that cannot be read or does not load, or a
+region dump or frame index that cannot be read (one `fbcomp: error:`
+line on stderr, as argparse reports a bad command line).
 """
 
 from __future__ import annotations
@@ -35,20 +36,15 @@ def _config_error(path, exc: Exception) -> int:
 
 
 def _cmd_run(args) -> int:
+    given = {"sink": args.sink, "sink_dir": args.sink_dir,
+             "duration_s": args.duration, "clock": args.clock}
     try:
         config = scenario.load_scenario(args.scenario)
+        # One replace, so the run spec is checked with every option applied.
+        config = replace(config, run=replace(
+            config.run, **{k: v for k, v in given.items() if v is not None}))
     except (OSError, ValueError) as exc:
         return _config_error(args.scenario, exc)
-    run = config.run
-    if args.sink:
-        run = replace(run, sink=args.sink)
-    if args.sink_dir:
-        run = replace(run, sink_dir=args.sink_dir)
-    if args.duration is not None:
-        run = replace(run, duration_s=args.duration)
-    if args.clock:
-        run = replace(run, clock=args.clock)
-    config = replace(config, run=run)
 
     report = scenario.run_scenario(config)
     if args.report:
@@ -86,7 +82,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    data = Path(args.region_dump).read_bytes()
+    try:
+        data = Path(args.region_dump).read_bytes()
+    except OSError as exc:
+        return _config_error(args.region_dump, exc)
     violations = shm.validate_region(data)
     if not violations:
         print("region well-formed")
@@ -97,7 +96,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    problems = sinks.replay_index(args.index_file)
+    try:
+        problems = sinks.replay_index(args.index_file)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _config_error(args.index_file, exc)
     if not problems:
         print("all frames match the index")
         return 0
@@ -113,17 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario")
     p_run.add_argument("scenario", help="scenario config file")
-    p_run.add_argument("--sink", choices=["null", "checksum", "images"])
+    p_run.add_argument("--sink", choices=scenario.SINKS)
     p_run.add_argument("--sink-dir", dest="sink_dir")
     p_run.add_argument("--duration", type=_seconds, help="seconds")
-    p_run.add_argument("--clock", choices=["wall", "sim"])
+    p_run.add_argument("--clock", choices=scenario.CLOCKS)
     p_run.add_argument("--report", help="write a JSON report here")
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run the benchmark suite")
     p_bench.add_argument("suite", nargs="?", help="suite config file")
     p_bench.add_argument("--duration", type=_seconds, help="seconds per phase")
-    p_bench.add_argument("--sink", choices=["null", "checksum"])
+    p_bench.add_argument("--sink", choices=bench.SINKS)
     p_bench.add_argument("--report", help="write a JSON report here")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -16,17 +16,15 @@ from . import shm
 from .clock import Clock, WallClock
 from .errors import SessionLost, UsageError
 from .frame_queue import FrameHandle, FrameQueue, QueueMode
-from .pixel import FramebufferContext, Surface
+from .pixel import Surface
 
 
 class ClientSession:
     """One output surface, one producer. Direct and composited sessions
     expose the same surface-filling API; only presentation differs."""
 
-    def __init__(self, context: FramebufferContext, queue: FrameQueue,
-                 clock: Optional[Clock] = None, *, region,
-                 header: shm.HeaderFields, sink=None):
-        self.context = context
+    def __init__(self, queue: FrameQueue, clock: Optional[Clock] = None, *,
+                 region, header: shm.HeaderFields, sink=None):
         self.queue = queue
         self.clock = clock or WallClock()
         self.mode = "direct" if sink is not None else "composited"
@@ -97,25 +95,20 @@ class ClientSession:
             raise SessionLost("server has disconnected this session")
 
 
-def open_direct_session(context: FramebufferContext, sink,
+def open_direct_session(config: shm.RegionConfig, sink,
                         clock: Optional[Clock] = None) -> ClientSession:
     """Direct mode: the session owns both queue ends and an output sink."""
-    config = shm.RegionConfig(
-        geometry=context.geometry, formats=(context.format,),
-        framerate=context.framerate, timeout_us=context.timeout_us,
-        queue_depth=context.queue_depth,
-    )
     region, header = shm.allocate_region(config)
     shm.publish(region)
-    queue = shm.queue_view(memoryview(region), header, context.format)
-    return ClientSession(context, queue, clock, region=memoryview(region),
+    region = memoryview(region)
+    return ClientSession(shm.queue_view(region, header), clock, region=region,
                          header=header, sink=sink)
 
 
 def connect_session(region, clock: Optional[Clock] = None, *,
                     attach_timeout_us: int = 1_000_000) -> ClientSession:
     """Composited mode: attach to a server-published shared region."""
-    context, queue, header = shm.client_attach(
+    queue, header = shm.client_attach(
         region, clock=clock, attach_timeout_us=attach_timeout_us)
-    return ClientSession(context, queue, clock, region=memoryview(region),
+    return ClientSession(queue, clock, region=memoryview(region),
                          header=header)

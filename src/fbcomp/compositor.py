@@ -186,8 +186,7 @@ class CompositorServer:
                 raise PlacementConflict(
                     f"placement {placement} overlaps client {other.id}")
         now = self.clock.now_us()
-        queue = shm.queue_view(region, header, PixelFormat(header.formats[0]),
-                               pixel_buf=pixel_buf)
+        queue = shm.queue_view(region, header, pixel_buf=pixel_buf)
         desc = ClientDescriptor(
             id=self._next_id, region=memoryview(region), header=header,
             queue=queue, placement=placement,

@@ -1,4 +1,4 @@
-"""Pixel formats, surface geometry, framebuffer contexts and blit primitives.
+"""Pixel formats, surface geometry and blit primitives.
 
 Everything here is pure or operates on caller-provided buffers; there is
 no internal shared state, so any thread may call any function.
@@ -139,38 +139,6 @@ class Rect:
     def overlaps(self, other: "Rect") -> bool:
         return not (self.x + self.width <= other.x or other.x + other.width <= self.x
                     or self.y + self.height <= other.y or other.y + other.height <= self.y)
-
-
-def check_timing(framerate: int, timeout_us: int, queue_depth: int) -> None:
-    """Raise ValueError unless the rates and depth make a usable queue.
-
-    The timeout is the watchdog budget; it must cover at least two frame
-    periods so a single missed frame never trips the watchdog.
-    """
-    if framerate <= 0:
-        raise ValueError(f"framerate must be positive, got {framerate}")
-    if timeout_us <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout_us}us")
-    if not 1 <= queue_depth <= 8:
-        raise ValueError(f"queue depth must be in 1..8, got {queue_depth}")
-    min_timeout = 2 * (1_000_000 // framerate)
-    if timeout_us < min_timeout:
-        raise ValueError(
-            f"timeout {timeout_us}us below two frame periods ({min_timeout}us)")
-
-
-@dataclass(frozen=True)
-class FramebufferContext:
-    """Read-only descriptor of an output surface; see `check_timing`."""
-
-    geometry: SurfaceGeometry
-    format: PixelFormat
-    framerate: int
-    timeout_us: int
-    queue_depth: int
-
-    def __post_init__(self):
-        check_timing(self.framerate, self.timeout_us, self.queue_depth)
 
 
 class Surface:

@@ -44,6 +44,9 @@ from .frame_queue import STATUS_RECORD_SIZE
 from .pixel import PixelFormat, Rect, SurfaceGeometry
 
 _FAULT_KINDS = ("stall", "crash", "garbage-header", "flip-status", "slow-to")
+WIDGETS = ("pattern", "counters")
+CLOCKS = ("sim", "wall")
+SINKS = ("null", "checksum", "images")
 
 
 # -- configuration ---------------------------------------------------------
@@ -97,6 +100,11 @@ def _require(ok: bool, section: str, key: str, value, rule: str) -> None:
     """Reject a config value that breaks `rule`, naming its section and key."""
     if not ok:
         raise ValueError(f"[{section}] {key} must be {rule}, got {value!r}")
+
+
+def _require_one_of(allowed: tuple, section: str, key: str, value) -> None:
+    _require(value in allowed, section, key, value,
+             f"one of {', '.join(allowed)}")
 
 
 # -- the config schema -----------------------------------------------------
@@ -191,13 +199,17 @@ class ClientSpec:
     queue_depth: int = 3
     min_fps: float = 1.0
     timeout_s: float = 0.5
-    widget: str = "pattern"          # "pattern" | "counters"
+    widget: str = "pattern"          # one of WIDGETS
     complexity: int = 1
     format: PixelFormat = PixelFormat.R8G8B8A8
     faults: Tuple[FaultAction, ...] = ()
 
     def __post_init__(self):
         section = f"client:{self.name}"
+        # The name is part of the client's /dev/shm file name.
+        _require("/" not in self.name and "\0" not in self.name, section,
+                 "name", self.name, "free of '/' and NUL")
+        _require_one_of(WIDGETS, section, "widget", self.widget)
         _require(_positive(self.fps), section, "fps", self.fps,
                  "positive and finite")
         _require(math.isfinite(self.min_fps) and self.min_fps >= 0, section,
@@ -246,6 +258,8 @@ class TargetSpec:
                  "at least 1")
         _require(_positive(self.rate), "target", "rate", self.rate,
                  "positive and finite")
+        _require(0 <= self.background <= 0xFFFFFFFF, "target", "background",
+                 self.background, "a u32 pixel, in 0..0xffffffff")
 
     @property
     def geometry(self) -> SurfaceGeometry:
@@ -255,12 +269,16 @@ class TargetSpec:
 @dataclass(frozen=True)
 class RunSpec:
     duration_s: float = 5.0
-    clock: str = "sim"               # "sim" | "wall"
-    sink: str = "checksum"           # "null" | "checksum" | "images"
+    clock: str = "sim"               # one of CLOCKS
+    sink: str = "checksum"           # one of SINKS
     sink_dir: Optional[str] = None
     watchdog_poll_s: float = 0.01
 
     def __post_init__(self):
+        _require_one_of(CLOCKS, "run", "clock", self.clock)
+        _require_one_of(SINKS, "run", "sink", self.sink)
+        _require(self.sink != "images" or bool(self.sink_dir), "run",
+                 "sink_dir", self.sink_dir, "set for the images sink")
         _require(_positive(self.duration_s), "run", "duration",
                  self.duration_s, "positive and finite")
         _require(_positive(self.watchdog_poll_s), "run", "watchdog_poll",
@@ -670,8 +688,4 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    if config.run.clock == "sim":
-        return _run_sim(config)
-    if config.run.clock == "wall":
-        return _run_wall(config)
-    raise ValueError(f"unknown clock mode {config.run.clock!r}")
+    return (_run_sim if config.run.clock == "sim" else _run_wall)(config)

@@ -9,6 +9,9 @@ is its only parsed form, its fields in byte order plus the format table.
 `layout_for` returns the header a region carries (with ready = 0),
 `encode_header` writes it and `read_header` reads it back;
 `admit_region`, how either end admits a region, also checks it.
+`RegionConfig` is the one description of a client region, and its
+header is checked by the same rules (`_violations`), so a config that
+builds is a region both ends admit.
 
 Region layout (offsets from region start):
 
@@ -27,7 +30,8 @@ Region layout (offsets from region start):
                              frameStride = round_up(pitch * height, framePadding)
   56  privateOffset   u32  -> 256-byte opaque implementation area
 
-Both ends use the format table's first tag (formats[0]) for every frame.
+Both ends use the format table's first tag (formats[0]) for every frame;
+`queue_view` is where it is read.
 
 Private area contents (implementation-defined, zero-initialized):
   +0  unused u32, left zero
@@ -48,8 +52,7 @@ from .clock import Clock, WallClock
 from .errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                      ServerUnavailable)
 from .frame_queue import STATUS_RECORD_SIZE, FrameQueue
-from .pixel import (BYTES_PER_PIXEL, FramebufferContext, PixelFormat,
-                    SurfaceGeometry, check_timing)
+from .pixel import BYTES_PER_PIXEL, PixelFormat, SurfaceGeometry
 
 MAGIC = 0x4A464243  # "JFBC"
 FORMAT_TABLE_OFFSET = 64
@@ -76,8 +79,8 @@ def _round_up(value: int, align: int) -> int:
 class RegionConfig:
     """Server-side surface and queue configuration for one client region.
 
-    Every field of its header must fit its word: a u32, or the u64 of
-    the timeout.
+    Its header must pass the rules a region read from memory passes,
+    and every field must fit its word: a u32, or the u64 of the timeout.
     """
 
     geometry: SurfaceGeometry
@@ -88,16 +91,15 @@ class RegionConfig:
     frame_padding: int = DEFAULT_FRAME_PADDING
 
     def __post_init__(self):
-        if not self.formats:
-            raise ValueError("at least one pixel format is required")
-        if self.frame_padding <= 0 or self.frame_padding & (self.frame_padding - 1):
-            raise ValueError("framePadding must be a power of two")
-        check_timing(self.framerate, self.timeout_us, self.queue_depth)
-        for f, value in zip(fields(HeaderFields), _header_values(layout_for(self))):
+        h = layout_for(self)
+        problems = _violations(h, h.required_size)
+        for f, value in zip(fields(HeaderFields), _header_values(h)):
             bits = 64 if f.name == "timeout_us" else 32
             if not 0 <= value < 1 << bits:
-                raise ValueError(f"{f.name} {value} does not fit its "
-                                 f"u{bits} header word")
+                problems.append(f"{f.name} {value} does not fit its "
+                                f"u{bits} header word")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass
@@ -241,9 +243,9 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
     if h.pitch < h.width * BYTES_PER_PIXEL:
         violations.append(f"pitch {h.pitch} below row size {h.width * BYTES_PER_PIXEL}")
     if h.framerate <= 0:
-        violations.append("framerate is zero")
+        violations.append(f"framerate {h.framerate} not positive")
     if h.timeout_us <= 0:
-        violations.append("timeout is zero")
+        violations.append(f"timeout {h.timeout_us}us not positive")
     elif h.framerate > 0 and h.timeout_us < 2 * (1_000_000 // h.framerate):
         violations.append(
             f"timeout {h.timeout_us}us below two frame periods at "
@@ -266,7 +268,7 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
 
     frame_end = h.frame_offset + STATUS_RECORD_SIZE * h.frame_count
     if h.frame_count < 1 or h.frame_count > 8:
-        violations.append(f"frameCount {h.frame_count} outside 1..8")
+        violations.append(f"queue depth: frameCount {h.frame_count} outside 1..8")
     elif h.frame_offset < HEADER_SIZE or frame_end > size or frame_end < h.frame_offset:
         violations.append(f"frame status array [{h.frame_offset}, {frame_end}) outside region")
     else:
@@ -301,9 +303,9 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
     return violations
 
 
-def queue_view(region, h: HeaderFields, fmt: PixelFormat,
-               pixel_buf=None) -> FrameQueue:
-    """Frame queue over a region's status records and frame data.
+def queue_view(region, h: HeaderFields, pixel_buf=None) -> FrameQueue:
+    """Frame queue over a region's status records and frame data, in the
+    format table's first format.
 
     Either end of the protocol builds its queue this way; `pixel_buf`
     optionally supplies a separate (e.g. read-only) mapping for pixels.
@@ -312,7 +314,8 @@ def queue_view(region, h: HeaderFields, fmt: PixelFormat,
     return FrameQueue(region, status_offset=h.frame_offset,
                       data_offset=h.frame_data_offset,
                       frame_stride=h.frame_stride,
-                      depth=h.frame_count, geometry=geometry, fmt=fmt,
+                      depth=h.frame_count, geometry=geometry,
+                      fmt=PixelFormat(h.formats[0]),
                       pixel_buf=pixel_buf)
 
 
@@ -321,9 +324,9 @@ _ATTACH_POLL_US = 1_000  # how often an attaching client rereads ready
 
 def client_attach(region, *, clock: Optional[Clock] = None,
                   attach_timeout_us: int = 1_000_000):
-    """Client-side attach: poll ready, validate, take the first format.
+    """Client-side attach: poll ready, admit the region.
 
-    Returns (FramebufferContext, producer FrameQueue, HeaderFields).
+    Returns (producer FrameQueue, HeaderFields).
     """
     clock = clock or WallClock()
     buf = memoryview(region)
@@ -335,13 +338,7 @@ def client_attach(region, *, clock: Optional[Clock] = None,
         clock.sleep_us(_ATTACH_POLL_US)
 
     h = admit_region(buf)
-    fmt = PixelFormat(h.formats[0])
-    context = FramebufferContext(
-        geometry=SurfaceGeometry(h.width, h.height, h.pitch),
-        format=fmt, framerate=h.framerate, timeout_us=h.timeout_us,
-        queue_depth=h.frame_count,
-    )
-    return context, queue_view(buf, h, fmt), h
+    return queue_view(buf, h), h
 
 
 # -- private-area accessors -----------------------------------------------

@@ -72,11 +72,11 @@ def test_3_protocol_round_trip_and_fuzz():
         config = random_config(rng)
         buf, lay = shm.allocate_region(config)
         shm.publish(buf)
-        context, queue, header = shm.client_attach(buf, clock=SimClock())
-        good = (context.geometry == config.geometry
-                and context.framerate == config.framerate
-                and context.timeout_us == config.timeout_us
-                and context.queue_depth == config.queue_depth == queue.depth
+        queue, header = shm.client_attach(buf, clock=SimClock())
+        good = (queue.geometry == config.geometry
+                and header.framerate == config.framerate
+                and header.timeout_us == config.timeout_us
+                and header.frame_count == config.queue_depth == queue.depth
                 and tuple(PixelFormat(f) for f in header.formats) == config.formats
                 and header.frame_offset == lay.frame_offset
                 and header.frame_data_offset == lay.frame_data_offset
@@ -98,12 +98,12 @@ def test_3_protocol_round_trip_and_fuzz():
             reported += 1
             continue
         try:
-            context, queue, _ = shm.client_attach(buf, clock=SimClock())
+            queue, header = shm.client_attach(buf, clock=SimClock())
         except (ServerUnavailable, IncompatibleProtocol, CorruptRegion,
                 RegionTooSmall):
             reported += 1
             continue
-        assert context.queue_depth == queue.depth
+        assert header.frame_count == queue.depth
         clean += 1
     _verdict("protocol round-trip",
              mismatches == 0 and reported + clean == 10_000,

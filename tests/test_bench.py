@@ -52,12 +52,14 @@ class TestLoadBenchConfig:
         ("[bench]\nclient_count = 3\n", "client_width must be at most"),
         ("[bench]\nclient_height = 901\n", "client_height must be at most"),
         ("[bench]\ncomplexity = 0\n", "complexity"),
+        ("[bench]\nsink = bogus\n", "sink must be one of null, checksum"),
+        ("[bench]\nsink = images\n", "sink must be one of null, checksum"),
     ], ids=["client-count-0", "duration-0", "duration-inf", "compose-rate-0",
             "compose-rate-negative", "queue-depth-0", "queue-depth-9",
             "client-width-0", "client-height-below-min-side",
             "target-width-negative", "target-height-0",
             "clients-wider-than-target", "client-taller-than-target",
-            "complexity-0"])
+            "complexity-0", "sink-unknown", "sink-images"])
     def test_out_of_range_value_rejected(self, tmp_path, text, named):
         with pytest.raises(ValueError, match=r"\[bench\] " + named):
             self.load(tmp_path, text)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fbcomp import shm
+from fbcomp import scenario, shm
 from fbcomp.cli import main
 from fbcomp.pixel import PixelFormat, SurfaceGeometry
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
@@ -134,12 +134,22 @@ class TestConfigErrors:
         ("run", "[client:a]\nx = 2000\n"),
         ("run", "[client:a]\n[client:b]\nx = 700\n"),
         ("bench", "[bench]\nclient_width = 0\n"),
+        ("run", "[client:a]\nwidget = countres\n"),
+        ("run", "[run]\nclock = walll\n"),
+        ("run", "[run]\nsink = bogus\n"),
+        ("run", "[run]\nsink = images\n"),
+        ("bench", "[bench]\nsink = bogus\n"),
+        ("run", "[target]\nbackground = -1\n"),
+        ("run", "[client:a/b]\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
             "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
             "run-duration-negative", "bench-queue-depth-0",
             "run-timeout-overflows-float", "run-target-width-0",
             "run-x-outside-target", "run-overlapping-placements",
-            "bench-client-width-0"])
+            "bench-client-width-0", "run-widget-misspelt",
+            "run-clock-misspelt", "run-sink-unknown",
+            "run-images-sink-without-dir", "bench-sink-unknown",
+            "run-background-negative", "run-client-name-slash"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"
@@ -150,7 +160,7 @@ class TestConfigErrors:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"fbcomp: error: {path}: ")
 
-    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize("command", ["run", "bench", "validate", "replay"])
     def test_missing_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                    command):
         path = tmp_path / "absent.cfg"
@@ -158,11 +168,18 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"fbcomp: error: {path}: ")
 
-    def test_error_after_loading_still_raises(self, tmp_path):
+    def test_option_checked_with_the_file(self, scenario_file, capsys):
+        # --sink images needs --sink-dir, as sink = images needs sink_dir.
+        assert main(["run", str(scenario_file), "--sink", "images"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "[run] sink_dir must be set" in line
+
+    def test_error_after_loading_still_raises(self, scenario_file,
+                                              monkeypatch):
         # Only loading is reported as a bad file; a ValueError raised by the
         # run itself surfaces with its traceback.
-        path = tmp_path / "s.cfg"
-        path.write_text(SCENARIO.serialize().replace("clock = sim",
-                                                     "clock = lunar"))
-        with pytest.raises(ValueError, match="lunar"):
-            main(["run", str(path)])
+        def run_scenario(config):
+            raise ValueError("raised by the run")
+        monkeypatch.setattr(scenario, "run_scenario", run_scenario)
+        with pytest.raises(ValueError, match="raised by the run"):
+            main(["run", str(scenario_file)])

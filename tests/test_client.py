@@ -5,18 +5,17 @@ from fbcomp.client import connect_session, open_direct_session
 from fbcomp.clock import SimClock
 from fbcomp.errors import SessionLost, UsageError
 from fbcomp.frame_queue import FrameState, QueueMode
-from fbcomp.pixel import (FramebufferContext, PixelFormat, SurfaceGeometry,
-                          compute_pitch)
+from fbcomp.pixel import PixelFormat, SurfaceGeometry, compute_pitch
 from fbcomp.sinks import ChecksumSink
 from fbcomp.widgets import render_pattern
 
 
 def direct_session(clock, depth=3, framerate=60, timeout_us=50_000, side=32):
     geometry = SurfaceGeometry(side, side, compute_pitch(side, PixelFormat.R8G8B8A8))
-    context = FramebufferContext(geometry, PixelFormat.R8G8B8A8,
-                                 framerate, timeout_us, depth)
+    config = shm.RegionConfig(geometry, (PixelFormat.R8G8B8A8,), framerate,
+                              timeout_us, depth)
     sink = ChecksumSink()
-    return open_direct_session(context, sink, clock), sink
+    return open_direct_session(config, sink, clock), sink
 
 
 class TestBeginEnd:

@@ -206,7 +206,7 @@ class TestCompose:
         shm.publish(buf)
         server.register_client(buf, Rect(0, 0, 64, 64), 1)
         session = connect_session(buf, clock)
-        assert session.context.format is PixelFormat.B8G8R8A8
+        assert session.queue.format is PixelFormat.B8G8R8A8
         surface = session.try_begin_frame()
         surface.fill(pack_channels(PixelFormat.B8G8R8A8, 255, 0, 0, 255))
         session.end_frame()
@@ -443,8 +443,7 @@ class TestFramerate:
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=3)
-        consumer = shm.queue_view(buf, shm.read_header(buf),
-                                  PixelFormat.R8G8B8A8)
+        consumer = shm.queue_view(buf, shm.read_header(buf))
         for i in range(20):
             submit(a, i)
             consumer.release_frame(consumer.take_for_display(QueueMode.FLUSH))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry,
-                          FramebufferContext, blit, channel_offsets,
-                          compute_pitch, convert_pixel, pack_channels,
-                          unpack_channels)
+from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
+                          channel_offsets, compute_pitch, convert_pixel,
+                          pack_channels, unpack_channels)
 
 FORMATS = list(PixelFormat)
 
@@ -187,22 +186,6 @@ class TestBlit:
 
 
 class TestContext:
-    def test_timeout_must_cover_two_periods(self):
-        geometry = SurfaceGeometry.for_width(64, 64)
-        with pytest.raises(ValueError):
-            FramebufferContext(geometry, PixelFormat.R8G8B8A8,
-                               framerate=60, timeout_us=20_000, queue_depth=2)
-        FramebufferContext(geometry, PixelFormat.R8G8B8A8,
-                           framerate=60, timeout_us=40_000, queue_depth=2)
-
-    def test_queue_depth_bounds(self):
-        geometry = SurfaceGeometry.for_width(64, 64)
-        for depth in (0, 9):
-            with pytest.raises(ValueError):
-                FramebufferContext(geometry, PixelFormat.R8G8B8A8,
-                                   framerate=30, timeout_us=100_000,
-                                   queue_depth=depth)
-
     def test_rect_validation(self):
         with pytest.raises(ValueError):
             Rect(0, 0, 0, 5)

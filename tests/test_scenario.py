@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbcomp import regions, shm
+from fbcomp import bench
 from fbcomp.bench import BenchConfig
 from fbcomp.pixel import PixelFormat
 from fbcomp.widgets import MIN_SIDE
-from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
-                             TargetSpec, from_section, load_scenario,
-                             parse_scenario, run_scenario, to_section)
+from fbcomp.scenario import (CLOCKS, SINKS, WIDGETS, ClientSpec, FaultAction,
+                             RunSpec, ScenarioConfig, TargetSpec, from_section,
+                             load_scenario, parse_scenario, run_scenario,
+                             to_section)
 
 from test_acceptance import _containment_config
 
@@ -24,6 +26,8 @@ ROOT = Path(__file__).resolve().parents[1]
 _rates = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Text that survives the INI file: nothing stripped, no line breaks.
 _names = st.text("abcxyz019_./-", min_size=1, max_size=12)
+# A client name is part of a /dev/shm file name, so it has no '/'.
+_client_names = st.text("abcxyz019_.-", min_size=1, max_size=12)
 _sizes = st.integers(min_value=1)
 # Sides the counters widget renders: every bench phase draws it.
 _sides = st.integers(min_value=MIN_SIDE)
@@ -44,30 +48,38 @@ def _every_field(cls, **given):
                              for f in fields(cls)})
 
 
+def _min_side(widget):
+    return MIN_SIDE if widget == "counters" else 1
+
+
 SECTIONS = {
     TargetSpec: _every_field(TargetSpec, width=_sizes, height=_sizes,
                              rate=_rates,
                              background=st.integers(0, 2**32 - 1)),
-    RunSpec: _every_field(RunSpec, duration_s=_rates, clock=_names,
-                          sink=_names, sink_dir=st.none() | _names,
-                          watchdog_poll_s=_rates),
+    # The images sink needs a directory.
+    RunSpec: st.sampled_from(SINKS).flatmap(lambda sink: _every_field(
+        RunSpec, duration_s=_rates, clock=st.sampled_from(CLOCKS),
+        sink=st.just(sink),
+        sink_dir=_names if sink == "images" else st.none() | _names,
+        watchdog_poll_s=_rates)),
     # A timeout of 2 s covers two frame periods at any fps (the region
     # rounds fps down, to at least 1). The width (as a pitch of 4 bytes a
-    # pixel, rounded up), height and fps each fit a u32 header word.
-    ClientSpec: _every_field(ClientSpec, name=_names,
-                             fps=st.floats(min_value=0.0, exclude_min=True,
-                                           max_value=2.0**32, exclude_max=True),
-                             width=st.integers(1, 2**30 - 16),
-                             height=st.integers(1, 2**32 - 1),
-                             queue_depth=_depths,
-                             min_fps=st.floats(min_value=0.0,
-                                               allow_infinity=False),
-                             complexity=st.integers(min_value=1),
-                             timeout_s=st.floats(2.0, 1e9), widget=_names,
-                             faults=st.lists(_faults, max_size=3).map(tuple)),
+    # pixel, rounded up), height and fps each fit a u32 header word, and
+    # a counters client is at least MIN_SIDE a side.
+    ClientSpec: st.sampled_from(WIDGETS).flatmap(lambda widget: _every_field(
+        ClientSpec, name=_client_names,
+        fps=st.floats(min_value=0.0, exclude_min=True, max_value=2.0**32,
+                      exclude_max=True),
+        width=st.integers(_min_side(widget), 2**30 - 16),
+        height=st.integers(_min_side(widget), 2**32 - 1),
+        queue_depth=_depths,
+        min_fps=st.floats(min_value=0.0, allow_infinity=False),
+        complexity=st.integers(min_value=1), timeout_s=st.floats(2.0, 1e9),
+        widget=st.just(widget),
+        faults=st.lists(_faults, max_size=3).map(tuple))),
     BenchConfig: st.tuples(_sizes, _sides, _sides).flatmap(
         lambda sizes: _every_field(
-            BenchConfig, duration_s=_rates, sink=_names,
+            BenchConfig, duration_s=_rates, sink=st.sampled_from(bench.SINKS),
             client_count=st.just(sizes[0]), client_width=st.just(sizes[1]),
             client_height=st.just(sizes[2]),
             # The clients sit side by side on the target.
@@ -89,8 +101,11 @@ def _scenarios(draw):
     for i, spec in enumerate(specs):
         x0 = i * target.width // len(specs)
         x1 = (i + 1) * target.width // len(specs)
-        width = draw(st.integers(1, min(x1 - x0, 2**30 - 16)))
-        height = draw(st.integers(1, min(target.height, 2**32 - 1)))
+        side = _min_side(spec.widget)
+        if side > min(x1 - x0, target.height):  # no room for the counters
+            spec, side = replace(spec, widget="pattern"), 1
+        width = draw(st.integers(side, min(x1 - x0, 2**30 - 16)))
+        height = draw(st.integers(side, min(target.height, 2**32 - 1)))
         clients.append(replace(
             spec, width=width, height=height,
             x=draw(st.integers(x0, x1 - width)),
@@ -191,6 +206,16 @@ class TestConfigFormat:
          r"\[client:b\] placement .* overlaps \[client:a\]"),
         ("[client:a]\nwidget = counters\nwidth = 32\nheight = 64\n",
          r"\[client:a\] width must be at least 64"),
+        ("[client:a]\nwidget = countres\n",
+         r"\[client:a\] widget must be one of pattern, counters"),
+        ("[run]\nclock = walll\n", r"\[run\] clock must be one of sim, wall"),
+        ("[run]\nsink = bogus\n",
+         r"\[run\] sink must be one of null, checksum, images"),
+        ("[run]\nsink = images\n", r"\[run\] sink_dir must be set"),
+        ("[target]\nbackground = -1\n", r"\[target\] background"),
+        ("[target]\nbackground = 0x1ffffffff\n", r"\[target\] background"),
+        ("[client:a/b]\n", r"\[client:a/b\] name must be free of '/'"),
+        ("[client:a\0b]\n", r"name must be free of '/' and NUL"),
     ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan", "fps-0",
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
@@ -201,7 +226,10 @@ class TestConfigFormat:
             "duration-0", "duration-inf", "watchdog-poll-0", "target-width-0",
             "target-height-negative", "x-outside-target", "y-negative",
             "wider-than-target", "client-wider-than-small-target",
-            "overlapping-placements", "counters-below-min-side"])
+            "overlapping-placements", "counters-below-min-side",
+            "widget-misspelt", "clock-misspelt", "sink-unknown",
+            "images-sink-without-dir", "background-negative",
+            "background-over-u32", "client-name-slash", "client-name-nul"])
     def test_out_of_range_value_rejected(self, text, named):
         with pytest.raises(ValueError, match=named):
             parse_scenario(text)
@@ -246,9 +274,8 @@ class TestConfigFormat:
             FaultAction("explode", 1.0)
 
     def test_unknown_engine_rejected(self):
-        config = two_client_config(clock="lunar")
-        with pytest.raises(ValueError):
-            run_scenario(config)
+        with pytest.raises(ValueError, match=r"\[run\] clock"):
+            two_client_config(clock="lunar")
 
 
 def _repository_ini_files():

@@ -9,8 +9,7 @@ from fbcomp.clock import SimClock
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
-from fbcomp.pixel import (FramebufferContext, PixelFormat, SurfaceGeometry,
-                          compute_pitch)
+from fbcomp.pixel import PixelFormat, SurfaceGeometry, compute_pitch
 
 
 def small_config(**kw):
@@ -131,35 +130,57 @@ def _region_config(framerate, timeout_us, depth, **kw):
                         queue_depth=depth, **kw)
 
 
-def _context(framerate, timeout_us, depth):
-    return FramebufferContext(SurfaceGeometry.for_width(64, 48),
-                              PixelFormat.R8G8B8A8, framerate, timeout_us, depth)
+def _admitted_header(framerate, timeout_us, depth):
+    """Admit a published, well-formed region after writing these values
+    into its header's framerate, timeout and frameCount words."""
+    buf, _ = shm.allocate_region(
+        small_config(queue_depth=depth if 1 <= depth <= 8 else 2))
+    shm.publish(buf)
+    struct.pack_into("<IQ", buf, 20, framerate, timeout_us)
+    struct.pack_into("<I", buf, 40, depth)
+    h = shm.admit_region(buf)
+    assert (h.framerate, h.timeout_us, h.frame_count) == \
+        (framerate, timeout_us, depth)
+
+
+# A config is held to the rule a header read from memory is held to.
+_BOTH_ENDS = pytest.mark.parametrize(
+    "make, error", [(_region_config, ValueError),
+                    (_admitted_header, CorruptRegion)],
+    ids=["RegionConfig", "header"])
 
 
 class TestTimingRule:
-    # (framerate, timeout_us, depth); both constructors share one rule.
+    # (framerate, timeout_us, depth, the rule it breaks)
     BAD = {
-        "depth-0": (30, 100_000, 0),
-        "depth-9": (30, 100_000, 9),
-        "framerate-0": (0, 100_000, 2),
-        "timeout-0-at-2MHz": (2_000_000, 0, 1),
-        "timeout-1us-short": (60, 33_331, 2),
+        "depth-0": (30, 100_000, 0, "queue depth: frameCount 0 outside"),
+        "depth-9": (30, 100_000, 9, "queue depth: frameCount 9 outside"),
+        "framerate-0": (0, 100_000, 2, "framerate 0 not positive"),
+        "timeout-0-at-2MHz": (2_000_000, 0, 1, "timeout 0us not positive"),
+        "timeout-1us-short": (60, 33_331, 2,
+                              "timeout 33331us below two frame periods"),
     }
 
-    @pytest.mark.parametrize("make", [_region_config, _context],
-                             ids=["RegionConfig", "FramebufferContext"])
+    @_BOTH_ENDS
     @pytest.mark.parametrize("values", list(BAD.values()), ids=list(BAD))
-    def test_rejected(self, make, values):
-        with pytest.raises(ValueError):
-            make(*values)
+    def test_rejected(self, make, error, values):
+        *timing, rule = values
+        with pytest.raises(error, match=rule):
+            make(*timing)
 
-    @pytest.mark.parametrize("make", [_region_config, _context],
-                             ids=["RegionConfig", "FramebufferContext"])
-    def test_boundaries_accepted(self, make):
+    @_BOTH_ENDS
+    def test_boundaries_accepted(self, make, error):
         make(60, 33_332, 1)
         make(60, 33_332, 8)
         make(2_000_000, 1, 1)
         make(1, 2**64 - 1, 1)   # the largest timeout its u64 word holds
+
+    @pytest.mark.parametrize("framerate, timeout_us, rule", [
+        (-1, 100_000, "framerate -1 not positive"),
+        (30, -5, "timeout -5us not positive")], ids=["framerate", "timeout"])
+    def test_negative_value_named(self, framerate, timeout_us, rule):
+        with pytest.raises(ValueError, match=rule):
+            _region_config(framerate, timeout_us, 2)
 
     @pytest.mark.parametrize("kw", [
         dict(frame_padding=3000), dict(formats=()),
@@ -204,11 +225,11 @@ class TestAttach:
             config = random_config(rng)
             buf, lay = shm.allocate_region(config)
             shm.publish(buf)
-            context, queue, header = shm.client_attach(buf, clock=SimClock())
-            assert context.geometry == config.geometry
-            assert context.framerate == config.framerate
-            assert context.timeout_us == config.timeout_us
-            assert context.queue_depth == config.queue_depth
+            queue, header = shm.client_attach(buf, clock=SimClock())
+            assert queue.geometry == config.geometry
+            assert header.framerate == config.framerate
+            assert header.timeout_us == config.timeout_us
+            assert header.frame_count == config.queue_depth == queue.depth
             assert [PixelFormat(f) for f in header.formats] == list(config.formats)
             assert header.frame_offset == lay.frame_offset
             assert header.frame_data_offset == lay.frame_data_offset
@@ -228,12 +249,12 @@ class TestAttach:
     def test_queue_round_trip_through_region(self):
         buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
-        _, queue, _ = shm.client_attach(buf, clock=SimClock())
+        queue, _ = shm.client_attach(buf, clock=SimClock())
         h = queue.acquire_frame()
         h.surface.fill(0xAABBCCDD)
         queue.submit_frame(h)
         header = shm.read_header(buf)
-        consumer = shm.queue_view(buf, header, PixelFormat.R8G8B8A8)
+        consumer = shm.queue_view(buf, header)
         t = consumer.take_for_display(QueueMode.ORDERED)
         assert t.sequence == 1
         assert int.from_bytes(bytes(t.surface.pixels()[0, 0]), "little") == 0xAABBCCDD
@@ -284,7 +305,7 @@ class TestValidate:
             if violations:
                 continue
             try:
-                context, queue, _ = shm.client_attach(buf, clock=SimClock())
+                queue, header = shm.client_attach(buf, clock=SimClock())
             except ServerUnavailable:
                 continue  # the flip reset the ready flag; not published
-            assert context.queue_depth == queue.depth
+            assert header.frame_count == queue.depth
