@@ -105,10 +105,9 @@ def open_direct_session(config: shm.RegionConfig, sink,
                          header=header, sink=sink)
 
 
-def connect_session(region, clock: Optional[Clock] = None, *,
-                    attach_timeout_us: int = 1_000_000) -> ClientSession:
-    """Composited mode: attach to a server-published shared region."""
-    queue, header = shm.client_attach(
-        region, clock=clock, attach_timeout_us=attach_timeout_us)
+def connect_session(region, clock: Optional[Clock] = None) -> ClientSession:
+    """Composited mode: attach to a server-published shared region; an
+    unpublished one raises ServerUnavailable."""
+    queue, header = shm.client_attach(region)
     return ClientSession(queue, clock, region=memoryview(region),
                          header=header)

@@ -1,7 +1,11 @@
 """Named shared-memory regions backing the client/server protocol.
 
-Regions live in /dev/shm under the name pattern `<session>.<clientId>.fb`
-(prefixed to avoid collisions with unrelated objects). The server keeps
+Regions live in /dev/shm under the name pattern `<session>.<index>.fb`,
+where `index` is the client's place in the scenario (prefixed to avoid
+collisions with unrelated objects). The launcher creates and publishes
+every region before any partition starts. Every mapping is left out of
+a forked child, so a partition forked by the server maps no region but
+the one it opens itself. The server keeps
 two mappings of the same file: a read-write one for the control area
 (header, status records, private area) and a read-only one used for all
 pixel reads, so a stray server-side pixel write faults instead of
@@ -18,8 +22,8 @@ _SHM_DIR = "/dev/shm"
 _PREFIX = "fbcomp-"
 
 
-def region_name(session: str, client_id) -> str:
-    return f"{session}.{client_id}.fb"
+def region_name(session: str, index) -> str:
+    return f"{session}.{index}.fb"
 
 
 def _path(name: str) -> str:
@@ -53,6 +57,8 @@ class SharedRegion:
             self.size = size
             self._mmap = mmap.mmap(fd, size)
             self._ro_mmap = mmap.mmap(fd, size, prot=mmap.PROT_READ)
+            for m in (self._mmap, self._ro_mmap):
+                m.madvise(mmap.MADV_DONTFORK)
         finally:
             os.close(fd)
         self.buf = memoryview(self._mmap)
@@ -78,10 +84,6 @@ def create_region(name: str, size: int) -> SharedRegion:
 
 def open_region(name: str) -> SharedRegion:
     return SharedRegion(name)
-
-
-def region_exists(name: str) -> bool:
-    return os.path.exists(_path(name))
 
 
 def unlink_region(name: str) -> None:

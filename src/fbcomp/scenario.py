@@ -5,13 +5,14 @@ with optional fault scripts, and runs in one of two engines:
 
 - "sim": single process, discrete simulated clock. Fully deterministic;
   used by all correctness and fault-containment tests.
-- "wall": one operating-system process per partition (server plus one
-  per client), shared-memory regions in /dev/shm, wall clock. Used for
-  process-isolation checks and benchmarks.
+- "wall": the calling process is the server, plus one forked process
+  per client, shared-memory regions in /dev/shm, wall clock. Every
+  region is laid out and published before any client process starts.
+  Used for process-isolation checks and benchmarks.
 
 One event loop (`_run_loop`) drives both: the sim engine runs the server
-and every partition step in one process, while each wall process runs
-the same steps for its own side.
+and every partition step in one process, while in the wall engine the
+caller runs the server steps and each client process its own.
 
 The text format is INI: a [target] section, a [run] section, and one
 [client:<name>] section per client. Fault scripts are comma-separated
@@ -28,7 +29,6 @@ import json
 import math
 import multiprocessing
 import os
-import tempfile
 import uuid
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -206,9 +206,6 @@ class ClientSpec:
 
     def __post_init__(self):
         section = f"client:{self.name}"
-        # The name is part of the client's /dev/shm file name.
-        _require("/" not in self.name and "\0" not in self.name, section,
-                 "name", self.name, "free of '/' and NUL")
         _require_one_of(WIDGETS, section, "widget", self.widget)
         _require(_positive(self.fps), section, "fps", self.fps,
                  "positive and finite")
@@ -531,38 +528,27 @@ class _Server:
         self.server.check_framerates(now)
         return max(t + self.compose_period, self.clock.now_us())
 
-    def result(self) -> dict:
-        index_path = None
-        if isinstance(self.sink, sinks.ImageSequenceSink):
-            index_path = str(self.sink.close())
-        return {
-            "server_frames": self.server.frames_presented,
-            "presented": self.presented,
-            "events": [{"t_us": e.t_us - self.start_us,
-                        "client": self.names.get(e.client_id),
-                        "reason": e.reason} for e in self.server.events],
-            "violations": self.violations,
-            "index_path": index_path,
-            "checksums": (self.sink.checksums()
-                          if isinstance(self.sink, sinks.ChecksumSink) else []),
-        }
 
-
-def _build_report(config: ScenarioConfig, server: dict,
+def _build_report(config: ScenarioConfig, server: _Server,
                   clients: Dict[str, dict]) -> ScenarioReport:
-    """Assemble the report from the server's result and each client's
-    tallies; a client with no tallies died without reporting."""
+    """Assemble the report from the server's tallies and each client's;
+    a client with no tallies died without reporting."""
+    sink = server.sink
     report = ScenarioReport(
         duration_us=int(config.run.duration_s * 1e6), clock=config.run.clock,
-        server_frames=server["server_frames"],
-        violations=list(server["violations"]),
+        server_frames=server.server.frames_presented,
+        violations=list(server.violations),
         sink=config.run.sink, sink_dir=config.run.sink_dir,
-        index_path=server["index_path"], checksums=server["checksums"])
+        index_path=(str(sink.close())
+                    if isinstance(sink, sinks.ImageSequenceSink) else None),
+        checksums=(sink.checksums()
+                   if isinstance(sink, sinks.ChecksumSink) else []))
     for spec in config.clients:
-        res = ClientResult(spec.name,
-                           presented=server["presented"].get(spec.name, 0))
-        res.disconnect = next(((e["t_us"], e["reason"]) for e in server["events"]
-                               if e["client"] == spec.name), None)
+        res = ClientResult(spec.name, presented=server.presented[spec.name])
+        res.disconnect = next(((e.t_us - server.start_us, e.reason)
+                               for e in server.server.events
+                               if server.names[e.client_id] == spec.name),
+                              None)
         out = clients.get(spec.name)
         if out is None:
             res.exit_status = "crashed"
@@ -588,103 +574,80 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
         partitions.append(_Partition(spec, session, buf, clock, 0))
     steps = server.steps(0) + [(0, 2, p.spec.name, p.step) for p in partitions]
     _run_loop(clock, int(config.run.duration_s * 1e6), steps)
-    return _build_report(config, server.result(),
+    return _build_report(config, server,
                          {p.spec.name: p.out for p in partitions})
 
 
 # -- multi-process engine --------------------------------------------------
 
-_NO_SERVER_RESULT = {"server_frames": 0, "presented": {}, "events": [],
-                     "violations": ["server produced no report"],
-                     "index_path": None, "checksums": []}
-
-
-def _server_main(config_text: str, session_name: str, result_dir: str) -> None:
+def _client_main(config_text: str, index: int, region_name: str,
+                 tallies) -> None:
+    """One partition's process: attach to its own region, run its frame
+    step, send its tallies down the `tallies` pipe."""
     config = parse_scenario(config_text)
+    spec = config.clients[index]
     clock = WallClock()
-    server = _Server(config, clock)
-    shared: List[regions.SharedRegion] = []
-    try:
-        for spec in config.clients:
-            rc = spec.region_config()
-            region = regions.create_region(
-                regions.region_name(session_name, spec.name),
-                shm.required_region_size(rc))
-            shared.append(region)
-            shm.encode_header(rc, region.buf)
-            shm.publish(region.buf)
-            server.register(spec, region.buf, pixel_buf=region.readonly_buf)
-        start = clock.now_us()
-        _run_loop(clock, start + int(config.run.duration_s * 1e6),
-                  server.steps(start))
-        Path(result_dir, "server.json").write_text(json.dumps(server.result()))
-    finally:
-        for region in shared:
-            region.close()
-            region.unlink()
-
-
-def _client_main(config_text: str, name: str, session_name: str,
-                 result_dir: str) -> None:
-    config = parse_scenario(config_text)
-    spec = next(c for c in config.clients if c.name == name)
-    clock = WallClock()
-    attach_deadline = clock.now_us() + 5_000_000
-    while not regions.region_exists(regions.region_name(session_name, name)):
-        if clock.now_us() > attach_deadline:
-            os._exit(3)
-        clock.sleep_us(1000)
-    region = regions.open_region(regions.region_name(session_name, name))
-    session = connect_session(region.buf, clock, attach_timeout_us=5_000_000)
+    region = regions.open_region(region_name)
+    session = connect_session(region.buf, clock)
     start = clock.now_us()
     partition = _Partition(spec, session, region.buf, clock, start)
     _run_loop(clock, start + int(config.run.duration_s * 1e6),
-              [(start, 2, name, partition.step)])
+              [(start, 2, spec.name, partition.step)])
     if partition.out["exit_status"] == "crashed":
-        os._exit(17)  # simulated hard crash: no result file
-    Path(result_dir, f"client-{name}.json").write_text(json.dumps(partition.out))
+        os._exit(17)  # simulated hard crash: no tallies
+    tallies.send(partition.out)
 
 
 def _run_wall(config: ScenarioConfig) -> ScenarioReport:
-    session_name = uuid.uuid4().hex[:12]
+    """The calling process is the server. It lays out, publishes and
+    registers every region before the first client process starts; no
+    region mapping survives a fork, so each client maps only its own."""
+    session = uuid.uuid4().hex[:12]
+    names = [regions.region_name(session, i)
+             for i in range(len(config.clients))]
     text = config.serialize()
     ctx = multiprocessing.get_context("fork")
-    with tempfile.TemporaryDirectory(prefix="fbcomp-run-") as result_dir:
-        server = ctx.Process(target=_server_main,
-                             args=(text, session_name, result_dir))
-        server.start()
-        clients = {}
-        for spec in config.clients:
-            p = ctx.Process(target=_client_main,
-                            args=(text, spec.name, session_name, result_dir))
-            p.start()
-            clients[spec.name] = p
-
-        server.join(config.run.duration_s + 15)
-        late = server.is_alive()
-        if late:
-            server.terminate()
-            server.join()
-        for p in clients.values():
-            p.join(5)
+    clock = WallClock()
+    server = _Server(config, clock)
+    mapped, procs, pipes = [], [], []
+    try:
+        for spec, name in zip(config.clients, names):
+            rc = spec.region_config()
+            mapped.append(regions.create_region(
+                name, shm.required_region_size(rc)))
+            shm.encode_header(rc, mapped[-1].buf)
+            shm.publish(mapped[-1].buf)
+            server.register(spec, mapped[-1].buf,
+                            pixel_buf=mapped[-1].readonly_buf)
+        for i, name in enumerate(names):
+            receive, send = ctx.Pipe(duplex=False)
+            pipes.append(receive)
+            procs.append(ctx.Process(target=_client_main,
+                                     args=(text, i, name, send)))
+            procs[-1].start()
+            send.close()
+        start = clock.now_us()
+        _run_loop(clock, start + int(config.run.duration_s * 1e6),
+                  server.steps(start))
+        outs = {}
+        for spec, receive in zip(config.clients, pipes):
+            try:
+                if receive.poll(5):
+                    outs[spec.name] = receive.recv()
+            except EOFError:
+                pass  # the client exited without sending its tallies
+        return _build_report(config, server, outs)
+    finally:
+        for p in procs:
             if p.is_alive():
                 p.terminate()
-                p.join()
-
-        server_json = Path(result_dir, "server.json")
-        result = (json.loads(server_json.read_text()) if server_json.exists()
-                  else _NO_SERVER_RESULT)
-        outs = {}
-        for spec in config.clients:
-            cj = Path(result_dir, f"client-{spec.name}.json")
-            if cj.exists():
-                outs[spec.name] = json.loads(cj.read_text())
-    for spec in config.clients:
-        regions.unlink_region(regions.region_name(session_name, spec.name))
-    report = _build_report(config, result, outs)
-    if late:
-        report.violations.insert(0, "server did not finish in time")
-    return report
+            p.join()
+        for conn in pipes:
+            conn.close()
+        for region in mapped:
+            region.close()
+        for name in names:
+            regions.unlink_region(name)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:

@@ -15,7 +15,8 @@ builds is a region both ends admit.
 
 Region layout (offsets from region start):
 
-  0   ready           u32  (0 = not ready, 1 = ready; written last by server)
+  0   ready           u32  (0 = not ready, 1 = ready; written last by the
+                            launcher, before the client starts)
   4   magic           u32  (0x4A464243, "JFBC")
   8   parameters      width u32, height u32, pitch u32, framerate u32,
                       timeout u64 (microseconds)  -> 24 bytes
@@ -46,9 +47,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import List, Optional
+from typing import List
 
-from .clock import Clock, WallClock
 from .errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                      ServerUnavailable)
 from .frame_queue import STATUS_RECORD_SIZE, FrameQueue
@@ -319,24 +319,16 @@ def queue_view(region, h: HeaderFields, pixel_buf=None) -> FrameQueue:
                       pixel_buf=pixel_buf)
 
 
-_ATTACH_POLL_US = 1_000  # how often an attaching client rereads ready
+def client_attach(region):
+    """Client-side attach: admit a published region.
 
-
-def client_attach(region, *, clock: Optional[Clock] = None,
-                  attach_timeout_us: int = 1_000_000):
-    """Client-side attach: poll ready, admit the region.
-
-    Returns (producer FrameQueue, HeaderFields).
+    Returns (producer FrameQueue, HeaderFields). The launcher publishes
+    every region before its client starts, so an unpublished region
+    raises ServerUnavailable at once.
     """
-    clock = clock or WallClock()
     buf = memoryview(region)
-    deadline = clock.now_us() + attach_timeout_us
-    while not is_published(buf):
-        if clock.now_us() >= deadline:
-            raise ServerUnavailable(
-                f"region not published within {attach_timeout_us}us")
-        clock.sleep_us(_ATTACH_POLL_US)
-
+    if not is_published(buf):
+        raise ServerUnavailable("region not published")
     h = admit_region(buf)
     return queue_view(buf, h), h
 

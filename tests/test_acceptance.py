@@ -72,7 +72,7 @@ def test_3_protocol_round_trip_and_fuzz():
         config = random_config(rng)
         buf, lay = shm.allocate_region(config)
         shm.publish(buf)
-        queue, header = shm.client_attach(buf, clock=SimClock())
+        queue, header = shm.client_attach(buf)
         good = (queue.geometry == config.geometry
                 and header.framerate == config.framerate
                 and header.timeout_us == config.timeout_us
@@ -98,7 +98,7 @@ def test_3_protocol_round_trip_and_fuzz():
             reported += 1
             continue
         try:
-            queue, header = shm.client_attach(buf, clock=SimClock())
+            queue, header = shm.client_attach(buf)
         except (ServerUnavailable, IncompatibleProtocol, CorruptRegion,
                 RegionTooSmall):
             reported += 1

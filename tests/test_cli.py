@@ -140,7 +140,6 @@ class TestConfigErrors:
         ("run", "[run]\nsink = images\n"),
         ("bench", "[bench]\nsink = bogus\n"),
         ("run", "[target]\nbackground = -1\n"),
-        ("run", "[client:a/b]\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
             "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
             "run-duration-negative", "bench-queue-depth-0",
@@ -149,7 +148,7 @@ class TestConfigErrors:
             "bench-client-width-0", "run-widget-misspelt",
             "run-clock-misspelt", "run-sink-unknown",
             "run-images-sink-without-dir", "bench-sink-unknown",
-            "run-background-negative", "run-client-name-slash"])
+            "run-background-negative"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"

@@ -5,7 +5,6 @@ import struct
 import pytest
 
 from fbcomp import shm
-from fbcomp.clock import SimClock
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
@@ -193,19 +192,17 @@ class TestTimingRule:
 
 
 class TestAttach:
-    def test_unpublished_region_times_out(self):
+    def test_unpublished_region_rejected(self):
         buf, _ = shm.allocate_region(small_config())
-        clock = SimClock()
-        with pytest.raises(ServerUnavailable):
-            shm.client_attach(buf, clock=clock, attach_timeout_us=50_000)
-        assert clock.now_us() >= 50_000
+        with pytest.raises(ServerUnavailable, match="not published"):
+            shm.client_attach(buf)
 
     def test_bad_magic_rejected(self):
         buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
         struct.pack_into("<I", buf, shm.OFF_MAGIC, shm.MAGIC ^ 1)
         with pytest.raises(IncompatibleProtocol):
-            shm.client_attach(buf, clock=SimClock())
+            shm.client_attach(buf)
 
     def test_admit_region_tells_magic_from_other_violations(self):
         buf, lay = shm.allocate_region(small_config())
@@ -225,7 +222,7 @@ class TestAttach:
             config = random_config(rng)
             buf, lay = shm.allocate_region(config)
             shm.publish(buf)
-            queue, header = shm.client_attach(buf, clock=SimClock())
+            queue, header = shm.client_attach(buf)
             assert queue.geometry == config.geometry
             assert header.framerate == config.framerate
             assert header.timeout_us == config.timeout_us
@@ -249,7 +246,7 @@ class TestAttach:
     def test_queue_round_trip_through_region(self):
         buf, _ = shm.allocate_region(small_config())
         shm.publish(buf)
-        queue, _ = shm.client_attach(buf, clock=SimClock())
+        queue, _ = shm.client_attach(buf)
         h = queue.acquire_frame()
         h.surface.fill(0xAABBCCDD)
         queue.submit_frame(h)
@@ -305,7 +302,7 @@ class TestValidate:
             if violations:
                 continue
             try:
-                queue, header = shm.client_attach(buf, clock=SimClock())
+                queue, header = shm.client_attach(buf)
             except ServerUnavailable:
                 continue  # the flip reset the ready flag; not published
             assert header.frame_count == queue.depth
