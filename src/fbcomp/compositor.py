@@ -19,8 +19,10 @@ frame.
 That relies on the compositor being the only writer of its target
 surface: anything else that writes into it must not expect its pixels
 to survive or be presented. It also relies on no two registered
-placements overlapping: registering over a disconnected client's area
-retires that client and clears its area.
+placements overlapping. The client table only grows: a placement that
+overlaps any registered client, active or disconnected, is refused, so
+a disconnected client's area shows the indicator for the rest of the
+run.
 
 Each tick trusts one word of a client's header, the magic; every other
 field comes from the header read and validated at registration. The
@@ -63,6 +65,7 @@ INDICATOR_FILL = (48, 16, 16, 255)
 _INDICATOR_SPACING = 16
 _INDICATOR_THICKNESS = 2
 _INDICATOR = "indicator"   # what a disconnected client's placement shows
+_UNPAINTED = "unpainted"   # a new client's placement: counts as changed
 
 
 class ClientState(enum.Enum):
@@ -98,6 +101,9 @@ class ClientDescriptor:
     fps_window: deque = field(default_factory=deque)
     fps_frames: int = 0           # the sum of the counts in fps_window
     held: Optional[FrameHandle] = None
+    # what the placement shows on the target: a frame's surface,
+    # _INDICATOR or None (background); set as it is painted
+    shown: object = _UNPAINTED
 
 
 @dataclass
@@ -129,10 +135,10 @@ class CompositionTarget:
         return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
 
     def clear(self, area: Rect) -> None:
-        """Fill `area` with the background."""
+        """Fill `area` with the background, one u32 store per pixel."""
         self.surface.pixels()[area.y:area.y + area.height,
-                              area.x:area.x + area.width] = \
-            np.frombuffer(self._bg_native.to_bytes(4, "little"), np.uint8)
+                              area.x:area.x + area.width].view("<u4")[..., 0] = \
+            self._bg_native
 
 
 class CompositorServer:
@@ -149,14 +155,9 @@ class CompositorServer:
         self._next_id = 1            # only grows, so no id is used twice
         # (width, height) -> indicator tile in the target's format
         self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
-        # client id -> what its placement shows on the target: a frame's
-        # surface, _INDICATOR or None (background); set as each is painted
-        self._shown: Dict[int, object] = {}
-        # areas to fill with the background on the next compose: the whole
-        # target, then the placements of retired clients
-        g = target.geometry
-        self._to_clear: List[Rect] = [Rect(0, 0, g.width, g.height)]
-        self._unpresented = (g.height, 0)   # rows painted since the last present
+        self._filled = False         # set once the whole target is filled
+        # rows painted since the last present
+        self._unpresented = (target.geometry.height, 0)
 
     # -- registration ------------------------------------------------------
 
@@ -166,10 +167,10 @@ class CompositorServer:
 
         `pixel_buf` optionally supplies a read-only mapping used for all
         pixel reads; status records are still driven through `region`.
-        The placement may not overlap an active client. Disconnected
-        clients it overlaps are retired: dropped from `clients` (their
-        `events` stay) and their areas cleared on the next compose. Every
-        client gets a new id. A registration that raises changes nothing.
+        The placement may not overlap any registered client, active or
+        disconnected: no client ever leaves `clients`, so its id order is
+        its registration order. Every client gets a new id. A registration
+        that raises changes nothing.
         """
         if not placement.fits_inside(self.target.geometry):
             raise ValueError(f"placement {placement} outside target "
@@ -179,10 +180,8 @@ class CompositorServer:
             raise ValueError(
                 f"placement {placement.width}x{placement.height} does not match "
                 f"client surface {header.width}x{header.height}")
-        covered = [other for other in self.clients.values()
-                   if placement.overlaps(other.placement)]
-        for other in covered:
-            if other.state is ClientState.ACTIVE:
+        for other in self.clients.values():
+            if placement.overlaps(other.placement):
                 raise PlacementConflict(
                     f"placement {placement} overlaps client {other.id}")
         now = self.clock.now_us()
@@ -191,19 +190,14 @@ class CompositorServer:
             id=self._next_id, region=memoryview(region), header=header,
             queue=queue, placement=placement,
             min_fps=min_fps, timeout_us=header.timeout_us,
-            # A region can carry frames before it is registered (the wall
-            # engine publishes it first); the first take counts only what
-            # was submitted after this point.
+            # A region can carry frames before it is registered; the first
+            # take counts only what was submitted after this point.
             last_frame_seq=max(queue.sequence(i) for i in range(queue.depth)),
             deadline_us=now + header.timeout_us,
             last_heartbeat=shm.read_heartbeat(region, header),
             connected_at_us=now,
         )
         self._next_id += 1
-        for other in covered:
-            del self.clients[other.id]
-            self._shown.pop(other.id, None)
-            self._to_clear.append(other.placement)
         self.clients[desc.id] = desc
         return desc
 
@@ -287,20 +281,25 @@ class CompositorServer:
     def compose_once(self, now_us: Optional[int] = None) -> ComposeReport:
         """Build one output frame and present it.
 
-        Clears the areas queued for it (the whole target on the first
-        tick), repaints every new take and any other placement whose
-        content changed, and presents the rows painted since the last
-        successful present as the target's `damage`. A newly registered
-        client's placement counts as changed. After a failed present the
-        target already holds that tick's pixels, so the next tick
-        presents them again and rereads no slot. A client whose region
-        or frames fail the protocol (a FramebufferError) is disconnected
-        and composition continues. A sink's OSError propagates as
-        PresentFailure, and any other exception, a server bug, as itself.
+        Fills the whole target with the background on the first tick.
+        Then, client by client in registration order, takes a frame and
+        repaints the placement if its content changed: every new take
+        does, and so does a newly registered client's placement. Presents
+        the rows painted since the last successful present as the
+        target's `damage`. After a failed present the target already
+        holds that tick's pixels, so the next tick presents them again
+        and rereads no slot. A client whose region or frames fail the
+        protocol (a FramebufferError) is disconnected and composition
+        continues. A sink's OSError propagates as PresentFailure, and any
+        other exception, a server bug, as itself.
         """
         now = self.clock.now_us() if now_us is None else now_us
-        reports, sources = [], []
-        for desc in sorted(self.clients.values(), key=lambda d: d.id):
+        if not self._filled:
+            g = self.target.geometry
+            self._paint(Rect(0, 0, g.width, g.height), None)
+            self._filled = True
+        reports = []
+        for desc in self.clients.values():
             source = _INDICATOR
             if desc.state is ClientState.DISCONNECTED:
                 report = ClientReport(desc.id, "disconnected")
@@ -311,15 +310,9 @@ class CompositorServer:
                     self.disconnect(desc, "fault", now, detail=str(exc))
                     report = ClientReport(desc.id, "disconnected")
             reports.append(report)
-            sources.append((desc, report.outcome == "new", source))
-        for area in self._to_clear:
-            self._paint(area, None)
-        self._to_clear.clear()
-        for desc, new, source in sources:
-            if (new or desc.id not in self._shown
-                    or self._shown[desc.id] is not source):
+            if report.outcome == "new" or desc.shown is not source:
                 self._paint(desc.placement, source)
-                self._shown[desc.id] = source
+                desc.shown = source
 
         y0, y1 = self._unpresented
         self.target.surface.damage = (y0, y1) if y0 < y1 else (0, 0)
@@ -385,13 +378,12 @@ class CompositorServer:
         if tile is None:
             fmt = self.target.format
             tile = np.empty((height, width, 4), np.uint8)
-            tile[:] = np.frombuffer(
-                pack_channels(fmt, *INDICATOR_FILL).to_bytes(4, "little"), np.uint8)
+            words = tile.view("<u4")[..., 0]
+            words[:] = pack_channels(fmt, *INDICATOR_FILL)
             yy, xx = np.mgrid[0:height, 0:width]
             mask = (((xx + yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS) | \
                    (((xx - yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS)
-            tile[mask] = np.frombuffer(
-                pack_channels(fmt, *INDICATOR_COLOR).to_bytes(4, "little"), np.uint8)
+            words[mask] = pack_channels(fmt, *INDICATOR_COLOR)
             tile.flags.writeable = False
             self._indicator_tiles[(width, height)] = tile
         return tile

@@ -37,7 +37,7 @@ class CorruptRegion(FramebufferError):
 
 
 class ServerUnavailable(FramebufferError):
-    """Server never published the region within the attach timeout."""
+    """The region has not been published, so a client cannot attach."""
 
 
 class UsageError(FramebufferError):
@@ -49,7 +49,8 @@ class SessionLost(FramebufferError):
 
 
 class PlacementConflict(FramebufferError):
-    """Requested placement overlaps an active client."""
+    """Requested placement overlaps a registered client, active or
+    disconnected."""
 
 
 class PresentFailure(FramebufferError):

@@ -74,9 +74,6 @@ class SharedRegion:
             except BufferError:
                 pass
 
-    def unlink(self) -> None:
-        unlink_region(self.name)
-
 
 def create_region(name: str, size: int) -> SharedRegion:
     return SharedRegion(name, size, create=True)

@@ -289,8 +289,8 @@ class ScenarioConfig:
     clients: Tuple[ClientSpec, ...] = ()
 
     def __post_init__(self):
-        # The server refuses a placement outside the target or over an
-        # active client; every client registers at the start of a run.
+        # The server refuses a placement outside the target or over any
+        # registered client; every client registers at the start of a run.
         tw, th = self.target.width, self.target.height
         for i, c in enumerate(self.clients):
             section = f"client:{c.name}"

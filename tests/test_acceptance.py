@@ -7,7 +7,6 @@ the unit suites; the whole file stays within a few minutes of runtime.
 """
 
 import random
-import struct
 import time
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 from fbcomp import shm
 from fbcomp.bench import BenchConfig, run_benchmark
 from fbcomp.clock import SimClock
-from fbcomp.compositor import CompositionTarget, CompositorServer
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol,
                            RegionTooSmall, ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
@@ -23,8 +21,6 @@ from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                           compute_pitch, convert_pixel)
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
                              TargetSpec, run_scenario)
-from fbcomp.sinks import ChecksumSink
-from fbcomp.widgets import render_pattern
 
 from queue_model import explore
 from test_compositor import make_client, make_server, submit

@@ -250,7 +250,7 @@ class TestCompose:
             if mapping is not None:
                 mapping.close()
             region.close()
-            region.unlink()
+            regions.unlink_region(region.name)
 
 
 class TestWatchdog:
@@ -371,8 +371,8 @@ class TestFramerate:
     @pytest.mark.parametrize("seed", range(3))
     def test_running_count_matches_window_sum(self, seed):
         # Several hundred ticks of random submit counts, forged and
-        # backward sequences, checks exactly at the window edge and a
-        # fresh region registered over each disconnected one. The running
+        # backward sequences, checks exactly at the window edge and, after
+        # each disconnect, a fresh region on a fresh server. The running
         # count must equal the window's sum, and every decision the sum's.
         rng = random.Random(seed)
         window = 200_000
@@ -382,7 +382,7 @@ class TestFramerate:
         desc = server.register_client(buf, Rect(0, 0, 64, 64), 20)
         entries = []              # (t, frames) as the old code summed them
         seen = dict.fromkeys(("keep", "disconnect", "edge", "forged",
-                              "backward", "reuse"), 0)
+                              "backward", "restart"), 0)
         t = 0
         for tick in range(400):
             if entries and rng.random() < 0.2:
@@ -392,10 +392,11 @@ class TestFramerate:
                 t += rng.randrange(5_000, 40_000)
             clock.advance_to(t)
             if desc.state is ClientState.DISCONNECTED:
+                server, _ = make_server(clock=clock, fps_window_us=window)
                 buf, a = make_client(clock, depth=3, timeout_us=10_000_000)
                 desc = server.register_client(buf, desc.placement, 20)
                 entries = []
-                seen["reuse"] += 1
+                seen["restart"] += 1
             for _ in range(rng.choice([0, 0, 1, 1, 1, 2, 3])):
                 if a.try_begin_frame() is not None:
                     a.end_frame()
@@ -437,9 +438,8 @@ class TestFramerate:
         assert all(seen.values()), seen
 
     def test_reconnect_first_take_counts_at_most_depth(self):
-        # A region can carry 20 submitted frames before it is registered,
-        # as in the wall engine, which publishes first. The first take
-        # counts only what came after registration.
+        # A region can carry 20 submitted frames before it is registered.
+        # The first take counts only what came after registration.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=3)
@@ -455,29 +455,30 @@ class TestFramerate:
 
 
 class TestReconnect:
-    """After a disconnect: area reuse, ids and the held slot."""
+    """After a disconnect: the area, ids and the held slot."""
 
-    def test_retired_id_not_registered_again(self):
-        # C is retired by B's registration over its area, and B by D's;
-        # no id comes back for another client, or events would mix them.
+    def test_disconnected_id_not_registered_again(self):
+        # No id comes back for another client, or events would mix them,
+        # and every client stays in the table, in id order.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         ids = []
-        for _ in range(3):
+        for x in (0, 100, 200):
             buf, _ = make_client(clock)
-            desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+            desc = server.register_client(buf, Rect(x, 0, 64, 64), 1)
             ids.append(desc.id)
             server.disconnect(desc, "watchdog")
         other, _ = make_client(clock)
         ids.append(server.register_client(other, Rect(200, 200, 64, 64), 1).id)
         assert ids == sorted(set(ids))
-        assert set(server.clients) == {ids[2], ids[3]}
+        assert list(server.clients) == ids
         assert [(e.client_id, e.reason) for e in server.events] == \
             [(i, "watchdog") for i in ids[:3]]
 
-    def test_indicator_then_pixels_again(self):
-        # disconnect -> crosshatch indicator -> a fresh region over the
-        # same area -> client pixels
+    def test_register_over_disconnected_area_rejected(self):
+        # disconnect -> crosshatch indicator -> a fresh region over all or
+        # part of the area is refused, and nothing changes: the table, the
+        # events, the next id and the indicator, for the rest of the run.
         clock = SimClock()
         server, sink = make_server(clock=clock)
         buf, a = make_client(clock)
@@ -492,17 +493,29 @@ class TestReconnect:
         server.compose_once(clock.now_us())
         indicator_checksum = sink.checksums()[-1]
         assert indicator_checksum != live_checksum
-        px = server.target.surface.pixels()
-        amber = INDICATOR_COLOR[:3]
-        assert (px[:64, :64, :3] == amber).all(axis=2).any()
+        target = server.target.surface
+        assert np.array_equal(target.pixels()[:64, :64],
+                              old_crosshatch(PixelFormat.R8G8B8A8, 64, 64))
+        painted = target.pixels().copy()
+        events = list(server.events)
 
-        new_buf, b = make_client(clock)
-        server.register_client(new_buf, desc.placement, 1)
-        surface = b.try_begin_frame()
-        render_pattern(surface, 5)
-        b.end_frame()
-        server.compose_once(clock.now_us())
-        assert sink.checksums()[-1] == live_checksum
+        for rect in (desc.placement, Rect(32, 32, 64, 64)):
+            new_buf, b = make_client(clock)
+            with pytest.raises(PlacementConflict, match=f"client {desc.id}$"):
+                server.register_client(new_buf, rect, 1)
+            submit(b, 5)
+        assert server.clients == {desc.id: desc}
+        assert server.events == events
+        for _ in range(2):
+            rep = server.compose_once(clock.now_us())
+            assert [(r.client_id, r.outcome) for r in rep.clients] == \
+                [(desc.id, "disconnected")]
+            assert target.damage == (0, 0)
+            assert np.array_equal(target.pixels(), painted)
+            assert sink.checksums()[-1] == indicator_checksum
+        free_buf, _ = make_client(clock)
+        assert server.register_client(free_buf, Rect(200, 0, 64, 64), 1).id == \
+            desc.id + 1
 
     def test_disconnect_releases_held_slot(self):
         # The server keeps no slot of a region it no longer reads: a
@@ -688,6 +701,25 @@ class TestIndicator:
         assert (px[mask].view("<u4") == background).all()
 
 
+class TestTarget:
+    @pytest.mark.parametrize("pitch", [37 * 4 + 20, 37 * 4 + 2])
+    @pytest.mark.parametrize("fmt", list(PixelFormat))
+    def test_clear_writes_only_the_area(self, fmt, pitch):
+        # The background's bytes land in the area; the row padding and
+        # the pixels around it keep theirs.
+        target = CompositionTarget(SurfaceGeometry(37, 11, pitch), fmt,
+                                   background=0x11223344)
+        raw = target.surface.buffer()
+        raw[:] = np.arange(raw.size) % 251
+        expected = raw.copy().reshape(11, pitch)
+        area = Rect(5, 3, 20, 6)
+        target.clear(area)
+        background = pack_channels(fmt, 0x11, 0x22, 0x33, 0x44).to_bytes(4, "little")
+        expected[area.y:area.y + area.height, 4 * area.x:4 * (area.x + area.width)] = \
+            np.frombuffer(background * area.width, np.uint8)
+        assert raw.tobytes() == expected.tobytes()
+
+
 def full_repaint(server):
     """The target as a full repaint draws it: background, then every
     client in id order."""
@@ -725,14 +757,17 @@ class TestDamage:
 
         for rect in self.PLACEMENTS:
             add(rect)
+        # the areas no client holds, for registrations mid-run
+        spare = [Rect(x, y, 64, 48) for y in (20, 85, 150, 236)
+                 for x in (10, 110, 210, 310)]
+        spare = [r for r in spare if r not in self.PLACEMENTS]
+        rng.shuffle(spare)
         seen = {"new": 0, "held": 0, "empty": 0, "disconnected": 0,
-                "fault": 0, "reuse": 0, "present-failure": 0}
+                "fault": 0, "register": 0, "present-failure": 0}
         for tick in range(150):
             clock.sleep_us(10_000)
             for cid, (buf, session) in clients.items():
-                desc = server.clients.get(cid)
-                if desc is None:
-                    continue      # retired: its area went to a newer client
+                desc = server.clients[cid]
                 if desc.state is ClientState.ACTIVE and rng.random() < 0.4:
                     surface = session.try_begin_frame()
                     if surface is not None:
@@ -740,8 +775,6 @@ class TestDamage:
                         session.end_frame()
             active = [d for d in server.clients.values()
                       if d.state is ClientState.ACTIVE]
-            gone = [d for d in server.clients.values()
-                    if d.state is ClientState.DISCONNECTED]
             roll = rng.random()
             if roll < 0.05 and active:
                 # garbage header: compose disconnects it as a fault
@@ -750,9 +783,9 @@ class TestDamage:
                 seen["fault"] += 1
             elif roll < 0.12 and active:
                 server.disconnect(rng.choice(active), "watchdog")
-            elif roll < 0.30 and gone:
-                add(rng.choice(gone).placement)
-                seen["reuse"] += 1
+            elif roll < 0.30 and spare:
+                add(spare.pop())
+                seen["register"] += 1
             sink.fail = tick > 0 and rng.random() < 0.04
             target = server.target.surface
             try:
@@ -842,10 +875,11 @@ class TestDamage:
         server.compose_once(clock.now_us())
         assert server.target.surface.damage == (10, 264)
 
-    def test_area_reuse_repaints_only_changed_rows(self):
-        # Registering over a disconnected client's area retires it: only
-        # the rows of the two areas change, and no held frame is redrawn
-        # from the slot its client can still write.
+    def test_rejected_registration_repaints_nothing(self):
+        # A placement over an active or a disconnected client is refused
+        # and changes no row. A registration elsewhere then changes only
+        # its own rows, and no held frame is redrawn from the slot its
+        # client can still write.
         clock = SimClock()
         server, sink = make_server(clock=clock)
         a_buf, a = make_client(clock)
@@ -856,37 +890,31 @@ class TestDamage:
         server.compose_once(clock.now_us())
         server.disconnect(dc, "watchdog")
         server.compose_once(clock.now_us())
-        a_pixels = server.target.surface.pixels()[:64, :64].copy()
+        painted = server.target.surface.pixels().copy()
         fill_drawing_slot(a)
 
-        other_buf, _ = make_client(clock)
-        with pytest.raises(PlacementConflict):
-            server.register_client(other_buf, da.placement, 1)
+        for rect in (da.placement, Rect(220, 220, 64, 64)):
+            other_buf, _ = make_client(clock)
+            with pytest.raises(PlacementConflict):
+                server.register_client(other_buf, rect, 1)
         assert server.clients == {da.id: da, dc.id: dc}
         server.compose_once(clock.now_us())
         assert server.target.surface.damage == (0, 0)
 
         b_buf, _ = make_client(clock)
-        server.register_client(b_buf, Rect(220, 220, 64, 64), 1)
+        server.register_client(b_buf, Rect(300, 100, 64, 64), 1)
         rep = server.compose_once(clock.now_us())
-        assert [r.outcome for r in rep.clients] == ["held", "empty"]
+        assert [r.outcome for r in rep.clients] == ["held", "disconnected", "empty"]
         target = server.target.surface
-        px = target.pixels()
-        assert target.damage == (200, 284)
-        assert np.array_equal(px[:64, :64], a_pixels)
+        assert target.damage == (100, 164)
+        # B has no frame yet, so its area stays background.
+        assert np.array_equal(target.pixels(), painted)
         assert sink.checksums()[-1] == frame_checksum(target)
-        # C's indicator is gone, and B has no frame yet.
-        outside_a = np.ones(px.shape[:2], bool)
-        outside_a[:64, :64] = False
-        background = pack_channels(PixelFormat.R8G8B8A8, 0x10, 0x10, 0x10, 0xFF)
-        assert (px[outside_a].view("<u4") == background).all()
         checksum = sink.checksums()[-1]
         for _ in range(2):
             server.compose_once(clock.now_us())
             assert target.damage == (0, 0)
             assert sink.checksums()[-1] == checksum
-
-        assert dc.id not in server.clients
         assert [(e.client_id, e.reason) for e in server.events] == \
             [(dc.id, "watchdog")]
 

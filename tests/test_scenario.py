@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbcomp import regions, shm, widgets
+from fbcomp import regions, widgets
 from fbcomp import bench
 from fbcomp.bench import BenchConfig
 from fbcomp.compositor import CompositorServer
@@ -609,7 +609,7 @@ class TestSharedRegions:
                 region.readonly_buf[0] = 1
         finally:
             region.close()
-            region.unlink()
+            regions.unlink_region(region.name)
 
     def test_writes_visible_through_readonly_mapping(self):
         name = regions.region_name("test-vis", "x")
@@ -619,7 +619,7 @@ class TestSharedRegions:
             assert bytes(region.readonly_buf[100:104]) == b"\x01\x02\x03\x04"
         finally:
             region.close()
-            region.unlink()
+            regions.unlink_region(region.name)
 
     def test_open_missing_region(self):
         with pytest.raises(FileNotFoundError):

@@ -8,7 +8,7 @@ from fbcomp import shm
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
 from fbcomp.frame_queue import QueueMode
-from fbcomp.pixel import PixelFormat, SurfaceGeometry, compute_pitch
+from fbcomp.pixel import PixelFormat, SurfaceGeometry
 
 
 def small_config(**kw):
