@@ -9,7 +9,7 @@ from .clock import Clock, SimClock, WallClock
 from .errors import (CorruptRegion, FramebufferError, IncompatibleProtocol,
                      PlacementConflict, PresentFailure, ProtocolViolation,
                      RegionTooSmall, ServerUnavailable, SessionLost, UsageError)
-from .frame_queue import FrameHandle, FrameQueue, FrameState, QueueMode
+from .frame_queue import FrameHandle, FrameQueue, FrameState
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     compute_pitch, convert_pixel, pack_channels,
                     unpack_channels)

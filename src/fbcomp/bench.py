@@ -32,7 +32,6 @@ from typing import Dict, Optional
 from . import scenario, shm, sinks, widgets
 from .client import open_direct_session
 from .clock import WallClock
-from .frame_queue import QueueMode
 from .pixel import PixelFormat, Surface, SurfaceGeometry
 
 
@@ -49,8 +48,9 @@ class BenchConfig:
     format: PixelFormat = PixelFormat.R8G8B8A8
     complexity: int = 2
     duration_s: float = 5.0
-    # One queue slot is always pinned by the server's held frame, so a
-    # deeper queue keeps free-running clients from stalling on a slot.
+    # One queue slot is always pinned by the held frame, so a depth of
+    # at least 2 leaves the producer a slot, and a deeper queue keeps
+    # free-running clients from stalling on one.
     queue_depth: int = 5
     sink: str = "checksum"           # one of SINKS
     # Compositor tick rate for the composited phases. None picks
@@ -68,8 +68,8 @@ class BenchConfig:
                           or scenario._positive(self.compose_rate), "bench",
                           "compose_rate", self.compose_rate,
                           "positive and finite, or empty")
-        scenario._require(1 <= self.queue_depth <= 8, "bench", "queue_depth",
-                          self.queue_depth, "in 1..8")
+        scenario._require(2 <= self.queue_depth <= 8, "bench", "queue_depth",
+                          self.queue_depth, "in 2..8")
         scenario._require(self.complexity >= 1, "bench", "complexity",
                           self.complexity, "at least 1")
         # Every phase renders the counters widget, on the target and on
@@ -215,12 +215,12 @@ def measure_framebuffer(config: BenchConfig, duration_s: float) -> float:
     while clock.now_us() < end:
         surface = session.try_begin_frame()
         if surface is None:
-            session.present_direct(QueueMode.ORDERED)
+            session.present_direct()
             continue
         widgets.render_counters(surface, (clock.now_us() - start) / 1e6,
                                 config.complexity)
         session.end_frame()
-        if session.present_direct(QueueMode.ORDERED) is not None:
+        if session.present_direct() is not None:
             frames += 1
     return frames * 1e6 / (clock.now_us() - start)
 

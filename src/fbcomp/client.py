@@ -15,7 +15,7 @@ from typing import Optional
 from . import shm
 from .clock import Clock, WallClock
 from .errors import SessionLost, UsageError
-from .frame_queue import FrameHandle, FrameQueue, QueueMode
+from .frame_queue import FrameHandle, FrameQueue
 from .pixel import Surface
 
 
@@ -67,26 +67,25 @@ class ClientSession:
 
     # -- direct-to-display -------------------------------------------------
 
-    def present_direct(self, mode: QueueMode = QueueMode.ORDERED) -> Optional[int]:
-        """Push the next displayable frame to the sink.
+    def present_direct(self) -> Optional[int]:
+        """Present the newest displayable frame through the sink.
 
-        With nothing READY the previously displayed frame is presented
+        Takes the newest READY frame, releasing the previously held one
+        if a new one came; with nothing READY the held frame is presented
         again (last-frame preservation). Returns the presented sequence,
         or None when nothing has ever been displayed.
         """
         if self.mode != "direct":
             raise UsageError("present_direct on a composited session")
-        handle = self.queue.take_for_display(mode)
-        if handle is None:
-            if self._held is None:
-                return None
-            self.sink.present(self._held.surface, self.clock.now_us())
-            return self._held.sequence
-        if self._held is not None:
-            self.queue.release_frame(self._held)
-        self._held = handle
-        self.sink.present(handle.surface, self.clock.now_us())
-        return handle.sequence
+        handle = self.queue.take_for_display()
+        if handle is not None:
+            if self._held is not None:
+                self.queue.release_frame(self._held)
+            self._held = handle
+        if self._held is None:
+            return None
+        self.sink.present(self._held.surface, self.clock.now_us())
+        return self._held.sequence
 
     # -- internals ---------------------------------------------------------
 

@@ -3,9 +3,9 @@
 Registers clients, composes their newest frames onto the target at fixed
 non-overlapping placements, enforces watchdog and minimum-framerate
 policies, paints a visible indicator over disconnected clients, and
-presents the target through an output sink. The indicator is rendered
-once per client size, the first time a client of that size is painted,
-and copied from that tile after.
+presents the target through an output sink. The indicator is tiled from
+one 16x16 period, built once per pixel format, and painted once per
+disconnected placement.
 
 Composition is damage-tracked: each tick repaints only the placements
 whose content changed since the previous tick (every new take, a frame
@@ -44,6 +44,7 @@ no lock.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -54,7 +55,7 @@ from . import shm
 from .clock import Clock, WallClock
 from .errors import (FramebufferError, IncompatibleProtocol, PlacementConflict,
                      PresentFailure)
-from .frame_queue import FrameHandle, FrameQueue, QueueMode
+from .frame_queue import FrameHandle, FrameQueue
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
 
@@ -66,6 +67,20 @@ _INDICATOR_SPACING = 16
 _INDICATOR_THICKNESS = 2
 _INDICATOR = "indicator"   # what a disconnected client's placement shows
 _UNPAINTED = "unpainted"   # a new client's placement: counts as changed
+
+
+@functools.lru_cache(maxsize=None)
+def _indicator_period(fmt: PixelFormat) -> np.ndarray:
+    """One period of the disconnect indicator's diagonal crosshatch, as
+    u32 pixels in `fmt`: its lines repeat every 16 pixels both ways.
+    Built once per format and shared, so it is read-only."""
+    yy, xx = np.mgrid[0:_INDICATOR_SPACING, 0:_INDICATOR_SPACING]
+    line = (((xx + yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS) | \
+           (((xx - yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS)
+    period = np.where(line, pack_channels(fmt, *INDICATOR_COLOR),
+                      pack_channels(fmt, *INDICATOR_FILL)).astype("<u4")
+    period.flags.writeable = False
+    return period
 
 
 class ClientState(enum.Enum):
@@ -153,8 +168,6 @@ class CompositorServer:
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
         self._next_id = 1            # only grows, so no id is used twice
-        # (width, height) -> indicator tile in the target's format
-        self._indicator_tiles: Dict[Tuple[int, int], np.ndarray] = {}
         self._filled = False         # set once the whole target is filled
         # rows painted since the last present
         self._unpresented = (target.geometry.height, 0)
@@ -208,17 +221,13 @@ class CompositorServer:
                    detail: str = "") -> DisconnectEvent:
         """Forcibly detach: stop reading the region, make it visible.
 
-        The held slot goes back to FREE, unless the client has overwritten
-        its status, so the server keeps no slot of a region it no longer
-        reads.
+        No slot status changes: the server drops its held frame without
+        handing the slot back, since nothing reads a disconnected region's
+        slots again and the client's next begin raises SessionLost on the
+        detach flag.
         """
         desc.state = ClientState.DISCONNECTED
-        held, desc.held = desc.held, None
-        if held is not None:
-            try:
-                desc.queue.release_frame(held)
-            except FramebufferError:
-                pass  # the client overwrote the slot's status
+        desc.held = None
         shm.write_detach_flag(desc.region, desc.header, 1)
         event = DisconnectEvent(self.clock.now_us() if now_us is None else now_us,
                                 desc.id, reason, detail)
@@ -333,7 +342,7 @@ class CompositorServer:
         # registration and is used from desc.header.
         if shm.read_magic(desc.region) != shm.MAGIC:
             raise IncompatibleProtocol("client header lost its magic")
-        handle = desc.queue.take_for_display(QueueMode.FLUSH)
+        handle = desc.queue.take_for_display()
         if handle is not None:
             # The client writes the sequence: between two takes it can
             # have submitted at most one frame per slot, and never fewer
@@ -343,11 +352,9 @@ class CompositorServer:
             desc.fps_window.append((now, submitted))
             desc.fps_frames += submitted
             desc.last_frame_seq = handle.sequence
-            # Hold the new frame before releasing the old one, so a failed
-            # release leaves disconnect() a slot to hand back.
-            old, desc.held = desc.held, handle
-            if old is not None:
-                desc.queue.release_frame(old)
+            if desc.held is not None:
+                desc.queue.release_frame(desc.held)
+            desc.held = handle
             return ClientReport(desc.id, "new", handle.sequence), handle.surface
         if desc.held is not None:
             return (ClientReport(desc.id, "held", desc.held.sequence),
@@ -365,25 +372,11 @@ class CompositorServer:
         self._unpresented = (min(y0, area.y), max(y1, area.y + area.height))
 
     def _paint_indicator(self, placement: Rect) -> None:
-        """Diagonal crosshatch in a warning color over the placement."""
+        """Diagonal crosshatch in a warning color over the placement,
+        anchored at its top-left corner, tiled from one 16x16 period."""
+        h, w = placement.height, placement.width
+        reps = (-(-h // _INDICATOR_SPACING), -(-w // _INDICATOR_SPACING))
         self.target.surface.pixels()[
-            placement.y:placement.y + placement.height,
-            placement.x:placement.x + placement.width, :] = \
-            self._indicator_tile(placement.width, placement.height)
-
-    def _indicator_tile(self, width: int, height: int) -> np.ndarray:
-        """The crosshatch for a width x height placement, anchored at its
-        top-left corner, so one tile serves every placement of that size."""
-        tile = self._indicator_tiles.get((width, height))
-        if tile is None:
-            fmt = self.target.format
-            tile = np.empty((height, width, 4), np.uint8)
-            words = tile.view("<u4")[..., 0]
-            words[:] = pack_channels(fmt, *INDICATOR_FILL)
-            yy, xx = np.mgrid[0:height, 0:width]
-            mask = (((xx + yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS) | \
-                   (((xx - yy) % _INDICATOR_SPACING) < _INDICATOR_THICKNESS)
-            words[mask] = pack_channels(fmt, *INDICATOR_COLOR)
-            tile.flags.writeable = False
-            self._indicator_tiles[(width, height)] = tile
-        return tile
+            placement.y:placement.y + h,
+            placement.x:placement.x + w].view("<u4")[..., 0] = \
+            np.tile(_indicator_period(self.target.format), reps)[:h, :w]

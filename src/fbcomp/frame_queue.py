@@ -2,9 +2,11 @@
 
 Exactly one producer party and one consumer party per queue, possibly in
 different address spaces. The producer owns FREE->UPDATING->READY, the
-consumer owns READY->DRAWING->FREE plus READY->FREE when flushing. All
-cross-party state lives in the status/sequence records inside the shared
-buffer, so a view can be rebuilt on either side at any time.
+consumer owns READY->DRAWING->FREE plus READY->FREE: a take always moves
+the newest READY slot to DRAWING and frees any older READY ones, so the
+consumer shows the producer's newest frame. All cross-party state lives
+in the status/sequence records inside the shared buffer, so a view can
+be rebuilt on either side at any time.
 
 Status records are 16 bytes each, 16-byte aligned:
   +0  status   u32 LE   (FREE=0, UPDATING=1, READY=2, DRAWING=3)
@@ -43,11 +45,6 @@ class FrameState(enum.IntEnum):
 # Plain-int aliases: the per-operation comparisons below run on raw
 # record words, and an int compare skips the enum attribute lookups.
 _FREE, _UPDATING, _READY, _DRAWING = map(int, FrameState)
-
-
-class QueueMode(enum.Enum):
-    ORDERED = "ordered"
-    FLUSH = "flush"
 
 
 @dataclass
@@ -170,20 +167,18 @@ class FrameQueue:
 
     # -- consumer side ----------------------------------------------------
 
-    def take_for_display(self, mode: QueueMode) -> Optional[FrameHandle]:
-        """ORDERED: oldest READY slot. FLUSH: newest, freeing the rest."""
+    def take_for_display(self) -> Optional[FrameHandle]:
+        """Move the newest READY slot to DRAWING and free any older READY
+        ones; None when no slot is READY."""
         records = self._checked_read()
         ready = [(records[2 * i + 1], i) for i in range(self.depth)
                  if records[2 * i] == _READY]
         if not ready:
             return None
-        if mode is QueueMode.ORDERED:
-            seq, idx = min(ready)
-        else:
-            seq, idx = max(ready)
-            for _, stale in ready:
-                if stale != idx:
-                    self._set_status(stale, _FREE)
+        seq, idx = max(ready)
+        for _, stale in ready:
+            if stale != idx:
+                self._set_status(stale, _FREE)
         self._set_status(idx, _DRAWING)
         return FrameHandle(idx, seq, self.surface(idx))
 

@@ -306,6 +306,9 @@ class ScenarioConfig:
                         f"[client:{other.name}] {other.placement}")
 
     def serialize(self) -> str:
+        """The config as scenario-file text that `parse_scenario` reads
+        back to an equal config: the writer of the tests' scenario files
+        and the parser's round-trip oracle."""
         cp = configparser.ConfigParser(interpolation=None)
         cp.read_dict({"target": to_section(self.target),
                       "run": to_section(self.run),
@@ -580,18 +583,17 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
 
 # -- multi-process engine --------------------------------------------------
 
-def _client_main(config_text: str, index: int, region_name: str,
+def _client_main(spec: ClientSpec, duration_s: float, region_name: str,
                  tallies) -> None:
     """One partition's process: attach to its own region, run its frame
-    step, send its tallies down the `tallies` pipe."""
-    config = parse_scenario(config_text)
-    spec = config.clients[index]
+    step, send its tallies down the `tallies` pipe. A forked child gets
+    `spec` as the object itself, without pickling."""
     clock = WallClock()
     region = regions.open_region(region_name)
     session = connect_session(region.buf, clock)
     start = clock.now_us()
     partition = _Partition(spec, session, region.buf, clock, start)
-    _run_loop(clock, start + int(config.run.duration_s * 1e6),
+    _run_loop(clock, start + int(duration_s * 1e6),
               [(start, 2, spec.name, partition.step)])
     if partition.out["exit_status"] == "crashed":
         os._exit(17)  # simulated hard crash: no tallies
@@ -605,7 +607,6 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
     session = uuid.uuid4().hex[:12]
     names = [regions.region_name(session, i)
              for i in range(len(config.clients))]
-    text = config.serialize()
     ctx = multiprocessing.get_context("fork")
     clock = WallClock()
     server = _Server(config, clock)
@@ -619,11 +620,12 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
             shm.publish(mapped[-1].buf)
             server.register(spec, mapped[-1].buf,
                             pixel_buf=mapped[-1].readonly_buf)
-        for i, name in enumerate(names):
+        for spec, name in zip(config.clients, names):
             receive, send = ctx.Pipe(duplex=False)
             pipes.append(receive)
-            procs.append(ctx.Process(target=_client_main,
-                                     args=(text, i, name, send)))
+            procs.append(ctx.Process(
+                target=_client_main,
+                args=(spec, config.run.duration_s, name, send)))
             procs[-1].start()
             send.close()
         start = clock.now_us()

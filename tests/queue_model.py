@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from fbcomp.frame_queue import (STATUS_RECORD_SIZE, FrameHandle, FrameQueue,
-                                FrameState, QueueMode)
+                                FrameState)
 from fbcomp.pixel import PixelFormat, SurfaceGeometry
 
 GEOMETRY = SurfaceGeometry(1, 1, 4)
@@ -65,8 +65,7 @@ def _check_step(actor: str, before: Tuple, after: Tuple,
         violations.append(f"multiple DRAWING slots after {actor}: {after}")
 
 
-def _successors(state: ModelState, depth: int, mode: QueueMode,
-                violations: List[str]) -> List[ModelState]:
+def _successors(state: ModelState, depth: int, violations: List[str]) -> List[ModelState]:
     out = []
 
     # producer step
@@ -93,14 +92,14 @@ def _successors(state: ModelState, depth: int, mode: QueueMode,
     if state.drawing_slot is None:
         ready = [(q.sequence(i), i) for i in range(depth)
                  if q.status(i) == FrameState.READY]
-        handle = q.take_for_display(mode)
+        handle = q.take_for_display()
         after = q.statuses()
         _check_step("consumer", before, after, violations)
         if handle is not None and ready:
-            want = min(ready)[1] if mode == QueueMode.ORDERED else max(ready)[1]
+            want = max(ready)[1]
             if handle.index != want:
                 violations.append(
-                    f"{mode.value} take chose slot {handle.index}, wanted {want}")
+                    f"take chose slot {handle.index}, wanted newest {want}")
         out.append(ModelState(bytes(q._buf), state.open_slot,
                               handle.index if handle else None))
     else:
@@ -111,7 +110,7 @@ def _successors(state: ModelState, depth: int, mode: QueueMode,
     return out
 
 
-def explore(depth: int, mode: QueueMode) -> Tuple[int, List[str]]:
+def explore(depth: int) -> Tuple[int, List[str]]:
     """BFS over every producer/consumer interleaving.
 
     Returns (number of canonical states, violations).
@@ -122,7 +121,7 @@ def explore(depth: int, mode: QueueMode) -> Tuple[int, List[str]]:
     frontier = deque([initial])
     while frontier:
         state = frontier.popleft()
-        for nxt in _successors(state, depth, mode, violations):
+        for nxt in _successors(state, depth, violations):
             k = nxt.key(depth)
             if k not in seen:
                 seen.add(k)

@@ -16,7 +16,6 @@ from fbcomp.bench import BenchConfig, run_benchmark
 from fbcomp.clock import SimClock
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol,
                            RegionTooSmall, ServerUnavailable)
-from fbcomp.frame_queue import QueueMode
 from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                           compute_pitch, convert_pixel)
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
@@ -41,10 +40,9 @@ def test_1_state_machine_soundness():
     total_states = 0
     violations = []
     for depth in (1, 2, 3):
-        for mode in (QueueMode.ORDERED, QueueMode.FLUSH):
-            states, bad = explore(depth, mode)
-            total_states += states
-            violations.extend(bad)
+        states, bad = explore(depth)
+        total_states += states
+        violations.extend(bad)
     elapsed = time.monotonic() - start
     _verdict("state-machine soundness",
              not violations and elapsed < 60.0,

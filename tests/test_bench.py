@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fbcomp import sinks
+from fbcomp import bench, sinks
 from fbcomp.bench import BenchConfig, BenchmarkReport, load_bench_config
 
 
@@ -44,6 +44,7 @@ class TestLoadBenchConfig:
         ("[bench]\ncompose_rate = 0\n", "compose_rate"),
         ("[bench]\ncompose_rate = -30\n", "compose_rate"),
         ("[bench]\nqueue_depth = 0\n", "queue_depth"),
+        ("[bench]\nqueue_depth = 1\n", "queue_depth must be in 2..8, got 1"),
         ("[bench]\nqueue_depth = 9\n", "queue_depth"),
         ("[bench]\nclient_width = 0\n", "client_width must be at least 64"),
         ("[bench]\nclient_height = 63\n", "client_height must be at least 64"),
@@ -55,7 +56,8 @@ class TestLoadBenchConfig:
         ("[bench]\nsink = bogus\n", "sink must be one of null, checksum"),
         ("[bench]\nsink = images\n", "sink must be one of null, checksum"),
     ], ids=["client-count-0", "duration-0", "duration-inf", "compose-rate-0",
-            "compose-rate-negative", "queue-depth-0", "queue-depth-9",
+            "compose-rate-negative", "queue-depth-0", "queue-depth-1",
+            "queue-depth-9",
             "client-width-0", "client-height-below-min-side",
             "target-width-negative", "target-height-0",
             "clients-wider-than-target", "client-taller-than-target",
@@ -67,6 +69,46 @@ class TestLoadBenchConfig:
     def test_report_keeps_phase_duration_key(self):
         report = BenchmarkReport(machine="host", config=BenchConfig(duration_s=2.0))
         assert json.loads(report.to_json())["config"]["phase_duration_s"] == 2.0
+
+
+class TestFramebufferPhase:
+    @pytest.mark.parametrize("depth", [2, 8])
+    def test_presents_every_submitted_frame_once_in_order(self, monkeypatch,
+                                                          depth):
+        # Phase b presents straight after each submit, so the newest-frame
+        # take finds exactly that frame: none is skipped or repeated.
+        sessions, after_submit = [], []
+        open_session = bench.open_direct_session
+
+        def kept_session(*args):
+            session = open_session(*args)
+            end_frame, present = session.end_frame, session.present_direct
+            submitted = [False]
+
+            def traced_end_frame():
+                end_frame()
+                submitted[0] = True
+
+            def traced_present():
+                seq = present()
+                if submitted[0]:
+                    after_submit.append(seq)
+                    submitted[0] = False
+                return seq
+
+            session.end_frame = traced_end_frame
+            session.present_direct = traced_present
+            sessions.append(session)
+            return session
+
+        monkeypatch.setattr(bench, "open_direct_session", kept_session)
+        config = BenchConfig(target_width=128, target_height=128,
+                             client_width=64, client_height=64, client_count=1,
+                             queue_depth=depth, duration_s=0.2)
+        assert bench.measure_framebuffer(config, 0.2) > 0
+        (session,) = sessions
+        assert session.frames_submitted > 1
+        assert after_submit == list(range(1, session.frames_submitted + 1))
 
 
 class TestReport:

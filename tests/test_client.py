@@ -4,7 +4,7 @@ from fbcomp import shm
 from fbcomp.client import connect_session, open_direct_session
 from fbcomp.clock import SimClock
 from fbcomp.errors import SessionLost, UsageError
-from fbcomp.frame_queue import FrameState, QueueMode
+from fbcomp.frame_queue import FrameState
 from fbcomp.pixel import PixelFormat, SurfaceGeometry, compute_pitch
 from fbcomp.sinks import ChecksumSink
 from fbcomp.widgets import render_pattern
@@ -63,14 +63,14 @@ class TestBeginEnd:
         for i in range(10):
             surface = session.try_begin_frame()
             if surface is None:
-                session.present_direct(QueueMode.ORDERED)
+                session.present_direct()
                 continue
             session.end_frame()
-            session.present_direct(QueueMode.ORDERED)
+            session.present_direct()
         # drain: present everything, then release the held frame
         while True:
             before = session.queue.statuses().count(FrameState.READY)
-            session.present_direct(QueueMode.ORDERED)
+            session.present_direct()
             if session.queue.statuses().count(FrameState.READY) == before:
                 break
         session.queue.release_frame(session._held)
@@ -79,23 +79,13 @@ class TestBeginEnd:
 
 
 class TestPresentDirect:
-    def test_ordered_presents_in_turn(self):
-        clock = SimClock()
-        session, sink = direct_session(clock)
-        for i in range(3):
-            render_pattern(session.try_begin_frame(), i)
-            session.end_frame()
-        seqs = [session.present_direct(QueueMode.ORDERED) for _ in range(3)]
-        assert seqs == [1, 2, 3]
-        assert sink.count == 3
-
     def test_flush_presents_newest_only(self):
         clock = SimClock()
         session, sink = direct_session(clock)
         for i in range(3):
             render_pattern(session.try_begin_frame(), i)
             session.end_frame()
-        assert session.present_direct(QueueMode.FLUSH) == 3
+        assert session.present_direct() == 3
         assert sink.count == 1
         # the two stale frames went back to FREE
         assert session.queue.statuses().count(FrameState.FREE) == 2
@@ -105,14 +95,14 @@ class TestPresentDirect:
         session, sink = direct_session(clock)
         render_pattern(session.try_begin_frame(), 42)
         session.end_frame()
-        assert session.present_direct(QueueMode.ORDERED) == 1
+        assert session.present_direct() == 1
         checksum = sink.checksums()[-1]
-        assert session.present_direct(QueueMode.ORDERED) == 1
+        assert session.present_direct() == 1
         assert sink.checksums()[-1] == checksum
 
     def test_present_before_any_frame(self):
         session, sink = direct_session(SimClock())
-        assert session.present_direct(QueueMode.ORDERED) is None
+        assert session.present_direct() is None
         assert sink.count == 0
 
     def test_composited_session_rejects_present_direct(self):
@@ -125,7 +115,7 @@ class TestPresentDirect:
         shm.publish(buf)
         session = connect_session(buf, clock)
         with pytest.raises(UsageError):
-            session.present_direct(QueueMode.ORDERED)
+            session.present_direct()
 
 
 class TestModePortability:

@@ -11,7 +11,7 @@ from fbcomp.compositor import (ClientState, CompositionTarget, CompositorServer,
                                INDICATOR_COLOR, INDICATOR_FILL)
 from fbcomp.errors import (IncompatibleProtocol, PlacementConflict,
                            PresentFailure, SessionLost)
-from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState, QueueMode
+from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameState
 from fbcomp.pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                           compute_pitch, pack_channels)
 from fbcomp.sinks import ChecksumSink, frame_checksum
@@ -446,7 +446,7 @@ class TestFramerate:
         consumer = shm.queue_view(buf, shm.read_header(buf))
         for i in range(20):
             submit(a, i)
-            consumer.release_frame(consumer.take_for_display(QueueMode.FLUSH))
+            consumer.release_frame(consumer.take_for_display())
         desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
         assert desc.last_frame_seq == 20
         submit(a, 21)
@@ -517,18 +517,29 @@ class TestReconnect:
         assert server.register_client(free_buf, Rect(200, 0, 64, 64), 1).id == \
             desc.id + 1
 
-    def test_disconnect_releases_held_slot(self):
-        # The server keeps no slot of a region it no longer reads: a
-        # depth-1 client's only slot goes back to FREE.
+    def test_disconnect_keeps_slot_statuses(self):
+        # Nothing reads a disconnected region's slots again, so disconnect
+        # writes no status: the held slot stays DRAWING, a READY frame
+        # stays READY and an open frame stays UPDATING.
         clock = SimClock()
         server, _ = make_server(clock=clock)
-        buf, a = make_client(clock, depth=1)
+        buf, a = make_client(clock, depth=3)
         desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
         submit(a, 1)
         server.compose_once(clock.now_us())
-        assert a.queue.statuses() == (FrameState.DRAWING,)
+        submit(a, 2)
+        assert a.try_begin_frame() is not None
+        before = a.queue.statuses()
+        assert sorted(before) == [FrameState.UPDATING, FrameState.READY,
+                                  FrameState.DRAWING]
         server.disconnect(desc, "watchdog")
-        assert a.queue.statuses() == (FrameState.FREE,)
+        assert a.queue.statuses() == before
+        assert desc.held is None
+        assert [e.reason for e in server.events] == ["watchdog"]
+        assert shm.read_detach_flag(buf, desc.header) == 1
+        a.end_frame()
+        with pytest.raises(SessionLost):
+            a.try_begin_frame()
 
 
 class TestPreservation:
@@ -583,9 +594,10 @@ class TestIsolationUnit:
         assert rep.clients[0].outcome == "disconnected"
         assert server.frames_presented == 1
 
-    def test_overwritten_held_status_frees_the_new_take(self):
+    def test_overwritten_held_status_is_a_fault_after_the_take(self):
         # The client rewrites its DRAWING slot's status, so releasing it
-        # fails after the next take: the taken slot must still go back.
+        # fails after the next take. The client is disconnected as a
+        # fault, and the statuses stay as the take left them.
         clock = SimClock()
         server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=2)
@@ -602,7 +614,11 @@ class TestIsolationUnit:
         assert rep.clients[0].outcome == "disconnected"
         assert server.events[0].reason == "fault"
         assert da.held is None
-        assert a.queue.statuses() == (FrameState.FREE, FrameState.FREE)
+        statuses = [FrameState.FREE, FrameState.FREE]
+        statuses[1 - index] = FrameState.DRAWING
+        assert a.queue.statuses() == tuple(statuses)
+        server.compose_once(clock.now_us())
+        assert a.queue.statuses() == tuple(statuses)
 
     def test_held_slot_with_invalid_status_is_a_fault(self):
         clock = SimClock()
@@ -635,7 +651,7 @@ class TestIsolationUnit:
         da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
         submit(a, 1)
 
-        def broken_take(mode):
+        def broken_take():
             raise error("server bug")
 
         monkeypatch.setattr(da.queue, "take_for_display", broken_take)
@@ -663,16 +679,24 @@ class TestIndicator:
 
     @pytest.mark.parametrize("fmt", list(PixelFormat))
     def test_cached_tile_matches_per_tick_crosshatch(self, fmt):
-        width, height = self.SIZE
-        geometry = SurfaceGeometry(200, 120, compute_pitch(200, fmt))
-        server = CompositorServer(CompositionTarget(geometry, fmt), ChecksumSink(),
-                                  SimClock())
-        expected = old_crosshatch(fmt, width, height)
-        px = server.target.surface.pixels()
-        for x, y in [(0, 0), (101, 53)]:
-            server._paint_indicator(Rect(x, y, width, height))
-            assert px[y:y + height, x:x + width].tobytes() == expected.tobytes()
-        assert len(server._indicator_tiles) == 1
+        # The tiled 16x16 period draws the per-pixel crosshatch, anchored
+        # at each placement's corner, at a tight and at a padded pitch;
+        # the row padding and the pixels around the placement keep theirs.
+        cases = [(SurfaceGeometry(200, 120, compute_pitch(200, fmt)), self.SIZE,
+                  [(0, 0), (101, 53)]),
+                 (SurfaceGeometry(130, 60, 130 * 4 + 36), (100, 37),
+                  [(0, 0), (29, 23)])]
+        for geometry, (width, height), spots in cases:
+            server = CompositorServer(CompositionTarget(geometry, fmt),
+                                      ChecksumSink(), SimClock())
+            raw = server.target.surface.buffer()
+            raw[:] = np.arange(raw.size) % 251
+            expected = raw.copy().reshape(geometry.height, geometry.pitch)
+            tile = old_crosshatch(fmt, width, height).reshape(height, 4 * width)
+            for x, y in spots:
+                server._paint_indicator(Rect(x, y, width, height))
+                expected[y:y + height, 4 * x:4 * (x + width)] = tile
+                assert raw.tobytes() == expected.tobytes()
 
     def test_two_disconnected_clients_of_one_size(self):
         width, height = self.SIZE

@@ -87,7 +87,9 @@ SECTIONS = {
             # The clients sit side by side on the target.
             target_width=st.integers(min_value=sizes[0] * sizes[1]),
             target_height=st.integers(min_value=sizes[2]),
-            complexity=_sizes, queue_depth=_depths,
+            # One slot is always held for display, so a bench queue
+            # needs at least two.
+            complexity=_sizes, queue_depth=st.integers(2, 8),
             compose_rate=st.none() | _rates)),
 }
 

@@ -7,7 +7,6 @@ import pytest
 from fbcomp import shm
 from fbcomp.errors import (CorruptRegion, IncompatibleProtocol, RegionTooSmall,
                            ServerUnavailable)
-from fbcomp.frame_queue import QueueMode
 from fbcomp.pixel import PixelFormat, SurfaceGeometry
 
 
@@ -252,7 +251,7 @@ class TestAttach:
         queue.submit_frame(h)
         header = shm.read_header(buf)
         consumer = shm.queue_view(buf, header)
-        t = consumer.take_for_display(QueueMode.ORDERED)
+        t = consumer.take_for_display()
         assert t.sequence == 1
         assert int.from_bytes(bytes(t.surface.pixels()[0, 0]), "little") == 0xAABBCCDD
 
