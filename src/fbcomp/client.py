@@ -1,6 +1,6 @@
 """Application-side runtime: frame lifecycle and direct presentation.
 
-A session is confined to one task.
+A session is confined to one task; a direct one also consumes its queue.
 
 The server's watchdog observes the heartbeat counter in the region.
 end_frame advances it, and so does a begin that finds no FREE slot: a
@@ -27,12 +27,10 @@ class ClientSession:
                  region, header: shm.HeaderFields, sink=None):
         self.queue = queue
         self.clock = clock or WallClock()
-        self.mode = "direct" if sink is not None else "composited"
         self.sink = sink
         self._region = region
         self._header = header
         self._open: Optional[FrameHandle] = None
-        self._held: Optional[FrameHandle] = None
         self._heartbeat = 0
         self.frames_submitted = 0
 
@@ -70,22 +68,20 @@ class ClientSession:
     def present_direct(self) -> Optional[int]:
         """Present the newest displayable frame through the sink.
 
-        Takes the newest READY frame, releasing the previously held one
-        if a new one came; with nothing READY the held frame is presented
-        again (last-frame preservation). Returns the presented sequence,
-        or None when nothing has ever been displayed.
+        Takes the newest READY frame, which frees the one held before;
+        with nothing READY the held frame is presented again (last-frame
+        preservation). Returns the presented sequence, or None when
+        nothing has ever been displayed. A session without a sink is
+        composited and raises UsageError.
         """
-        if self.mode != "direct":
+        if self.sink is None:
             raise UsageError("present_direct on a composited session")
-        handle = self.queue.take_for_display()
-        if handle is not None:
-            if self._held is not None:
-                self.queue.release_frame(self._held)
-            self._held = handle
-        if self._held is None:
+        self.queue.take_for_display()
+        held = self.queue.held
+        if held is None:
             return None
-        self.sink.present(self._held.surface, self.clock.now_us())
-        return self._held.sequence
+        self.sink.present(held.surface, self.clock.now_us())
+        return held.sequence
 
     # -- internals ---------------------------------------------------------
 

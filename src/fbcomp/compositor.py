@@ -11,11 +11,13 @@ Composition is damage-tracked: each tick repaints only the placements
 whose content changed since the previous tick (every new take, a frame
 replaced by the indicator or by nothing, a newly registered client) and
 records the changed rows on the target as `Surface.damage`, so a sink
-can skip the rest. A held frame is drawn exactly once, when it is taken,
-so a client cannot change the display through a slot it handed over.
-A take repaints even when it hands back the slot shown last: the queue
-caches one surface per slot, so the same surface object can carry a new
-frame.
+can skip the rest. The frame on display is the client's queue view's
+`held` frame, so the server keeps no slot of its own: the take that
+replaces it frees the old slot. A held frame is drawn exactly once, when
+it is taken, so a client cannot change the display through a slot it
+handed over. A take repaints even when it chose the slot shown last: the
+queue caches one surface per slot, so the same surface object can carry
+a new frame.
 That relies on the compositor being the only writer of its target
 surface: anything else that writes into it must not expect its pixels
 to survive or be presented. It also relies on no two registered
@@ -55,11 +57,10 @@ from . import shm
 from .clock import Clock, WallClock
 from .errors import (FramebufferError, IncompatibleProtocol, PlacementConflict,
                      PresentFailure)
-from .frame_queue import FrameHandle, FrameQueue
+from .frame_queue import FrameQueue
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
 
-DEFAULT_FPS_WINDOW_US = 2_000_000
 DEFAULT_BACKGROUND = 0x000000FF          # opaque black in R8G8B8A8 terms
 INDICATOR_COLOR = (255, 176, 0, 255)     # warning amber
 INDICATOR_FILL = (48, 16, 16, 255)
@@ -115,7 +116,6 @@ class ClientDescriptor:
     # (timestamp, frames submitted since previous observation)
     fps_window: deque = field(default_factory=deque)
     fps_frames: int = 0           # the sum of the counts in fps_window
-    held: Optional[FrameHandle] = None
     # what the placement shows on the target: a frame's surface,
     # _INDICATOR or None (background); set as it is painted
     shown: object = _UNPAINTED
@@ -157,13 +157,14 @@ class CompositionTarget:
 
 
 class CompositorServer:
+    # The sliding window the minimum-fps policy judges a client over.
+    fps_window_us = 2_000_000
+
     def __init__(self, target: CompositionTarget, sink,
-                 clock: Optional[Clock] = None,
-                 fps_window_us: int = DEFAULT_FPS_WINDOW_US):
+                 clock: Optional[Clock] = None):
         self.target = target
         self.sink = sink
         self.clock = clock or WallClock()
-        self.fps_window_us = fps_window_us
         self.clients: Dict[int, ClientDescriptor] = {}
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
@@ -221,13 +222,11 @@ class CompositorServer:
                    detail: str = "") -> DisconnectEvent:
         """Forcibly detach: stop reading the region, make it visible.
 
-        No slot status changes: the server drops its held frame without
-        handing the slot back, since nothing reads a disconnected region's
-        slots again and the client's next begin raises SessionLost on the
-        detach flag.
+        No slot status changes: the held slot stays DRAWING, since nothing
+        reads a disconnected region's slots again and the client's next
+        begin raises SessionLost on the detach flag.
         """
         desc.state = ClientState.DISCONNECTED
-        desc.held = None
         shm.write_detach_flag(desc.region, desc.header, 1)
         event = DisconnectEvent(self.clock.now_us() if now_us is None else now_us,
                                 desc.id, reason, detail)
@@ -352,13 +351,10 @@ class CompositorServer:
             desc.fps_window.append((now, submitted))
             desc.fps_frames += submitted
             desc.last_frame_seq = handle.sequence
-            if desc.held is not None:
-                desc.queue.release_frame(desc.held)
-            desc.held = handle
             return ClientReport(desc.id, "new", handle.sequence), handle.surface
-        if desc.held is not None:
-            return (ClientReport(desc.id, "held", desc.held.sequence),
-                    desc.held.surface)
+        held = desc.queue.held
+        if held is not None:
+            return ClientReport(desc.id, "held", held.sequence), held.surface
         return ClientReport(desc.id, "empty"), None
 
     def _paint(self, area: Rect, source) -> None:

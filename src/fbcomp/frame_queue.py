@@ -2,11 +2,12 @@
 
 Exactly one producer party and one consumer party per queue, possibly in
 different address spaces. The producer owns FREE->UPDATING->READY, the
-consumer owns READY->DRAWING->FREE plus READY->FREE: a take always moves
-the newest READY slot to DRAWING and frees any older READY ones, so the
-consumer shows the producer's newest frame. All cross-party state lives
-in the status/sequence records inside the shared buffer, so a view can
-be rebuilt on either side at any time.
+consumer owns READY->DRAWING->FREE plus READY->FREE: a take moves the
+newest READY slot to DRAWING, frees any older READY ones and then frees
+the frame it held before, so the consumer shows the producer's newest
+frame. All cross-party state lives in the status/sequence records inside
+the shared buffer; the one party-private fact a view keeps is that held
+frame (`held`), so only a producer's view can be rebuilt at any time.
 
 Status records are 16 bytes each, 16-byte aligned:
   +0  status   u32 LE   (FREE=0, UPDATING=1, READY=2, DRAWING=3)
@@ -81,6 +82,7 @@ class FrameQueue:
         # status, sequence of slot 0, status, sequence of slot 1, ...
         self._records = struct.Struct("<" + "I4xQ" * depth)
         self._surfaces: List[Optional[Surface]] = [None] * depth
+        self.held: Optional[FrameHandle] = None   # the consumer's frame
         # Sequences never reset, so the producer counter is recoverable
         # from the buffer after a reattach.
         self._next_seq = max(self._read()[1::2]) + 1
@@ -168,8 +170,9 @@ class FrameQueue:
     # -- consumer side ----------------------------------------------------
 
     def take_for_display(self) -> Optional[FrameHandle]:
-        """Move the newest READY slot to DRAWING and free any older READY
-        ones; None when no slot is READY."""
+        """Move the newest READY slot to DRAWING, free older READY ones and
+        release the frame held before, unless it is that same slot; the new
+        frame becomes `held`. None, with `held` kept, when none is READY."""
         records = self._checked_read()
         ready = [(records[2 * i + 1], i) for i in range(self.depth)
                  if records[2 * i] == _READY]
@@ -180,7 +183,10 @@ class FrameQueue:
             if stale != idx:
                 self._set_status(stale, _FREE)
         self._set_status(idx, _DRAWING)
-        return FrameHandle(idx, seq, self.surface(idx))
+        previous, self.held = self.held, FrameHandle(idx, seq, self.surface(idx))
+        if previous is not None and previous.index != idx:
+            self.release_frame(previous)
+        return self.held
 
     def release_frame(self, handle: FrameHandle) -> None:
         self._expect(handle.index, _DRAWING)

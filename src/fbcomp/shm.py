@@ -267,8 +267,9 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
                 violations.append(f"format table entry {i} has unknown tag {tag}")
 
     frame_end = h.frame_offset + STATUS_RECORD_SIZE * h.frame_count
-    if h.frame_count < 1 or h.frame_count > 8:
-        violations.append(f"queue depth: frameCount {h.frame_count} outside 1..8")
+    if h.frame_count < 2 or h.frame_count > 8:
+        violations.append(f"queue depth: frameCount {h.frame_count} outside "
+                          "2..8 (the consumer always holds one slot)")
     elif h.frame_offset < HEADER_SIZE or frame_end > size or frame_end < h.frame_offset:
         violations.append(f"frame status array [{h.frame_offset}, {frame_end}) outside region")
     else:
@@ -283,7 +284,7 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
         spans.append((h.private_offset, priv_end, "private area"))
 
     stride = h.frame_stride
-    if stride and 1 <= h.frame_count <= 8:
+    if stride and 2 <= h.frame_count <= 8:
         data_end = h.frame_data_offset + h.frame_count * stride
         if (h.frame_data_offset < HEADER_SIZE or data_end > size
                 or data_end < h.frame_data_offset):

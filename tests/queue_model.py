@@ -2,8 +2,10 @@
 
 One producer party and one consumer party step a real FrameQueue in
 every possible order; every observed status-word change must be one of
-the legal edges, performed by its owning party. States are canonicalized
-by rank-normalizing slot sequences so the reachable graph is finite.
+the legal edges, performed by its owning party. The consumer's step is
+the server's: one take, which replaces the frame it holds, and the only
+DRAWING slot is the held one. States are canonicalized by
+rank-normalizing slot sequences so the reachable graph is finite.
 """
 
 from collections import deque
@@ -86,27 +88,26 @@ def _successors(state: ModelState, depth: int, violations: List[str]) -> List[Mo
             violations.append("submitted sequence is not the queue maximum")
         out.append(ModelState(bytes(q._buf), None, state.drawing_slot))
 
-    # consumer step
+    # consumer step: the server's one take, on a view that holds the
+    # model's drawing slot
     q = make_queue(depth, bytearray(state.buf))
+    if state.drawing_slot is not None:
+        q.held = FrameHandle(state.drawing_slot, 0,
+                             q.surface(state.drawing_slot))
     before = q.statuses()
-    if state.drawing_slot is None:
-        ready = [(q.sequence(i), i) for i in range(depth)
-                 if q.status(i) == FrameState.READY]
-        handle = q.take_for_display()
-        after = q.statuses()
-        _check_step("consumer", before, after, violations)
-        if handle is not None and ready:
-            want = max(ready)[1]
-            if handle.index != want:
-                violations.append(
-                    f"take chose slot {handle.index}, wanted newest {want}")
-        out.append(ModelState(bytes(q._buf), state.open_slot,
-                              handle.index if handle else None))
-    else:
-        handle = FrameHandle(state.drawing_slot, 0, q.surface(state.drawing_slot))
-        q.release_frame(handle)
-        _check_step("consumer", before, q.statuses(), violations)
-        out.append(ModelState(bytes(q._buf), state.open_slot, None))
+    ready = [(q.sequence(i), i) for i in range(depth)
+             if before[i] == FrameState.READY]
+    handle = q.take_for_display()
+    after = q.statuses()
+    _check_step("consumer", before, after, violations)
+    if handle is not None and handle.index != max(ready)[1]:
+        violations.append(
+            f"take chose slot {handle.index}, wanted newest {max(ready)[1]}")
+    held = q.held.index if q.held is not None else None
+    drawing = [i for i, st in enumerate(after) if st == FrameState.DRAWING]
+    if drawing != ([] if held is None else [held]):
+        violations.append(f"consumer holds {held}, DRAWING slots {drawing}")
+    out.append(ModelState(bytes(q._buf), state.open_slot, held))
     return out
 
 

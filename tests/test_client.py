@@ -67,15 +67,16 @@ class TestBeginEnd:
                 continue
             session.end_frame()
             session.present_direct()
-        # drain: present everything, then release the held frame
+        # drain: present everything; only the held frame stays taken
         while True:
             before = session.queue.statuses().count(FrameState.READY)
             session.present_direct()
             if session.queue.statuses().count(FrameState.READY) == before:
                 break
-        session.queue.release_frame(session._held)
-        session._held = None
-        assert all(s == FrameState.FREE for s in session.queue.statuses())
+        held = session.queue.held.index
+        assert session.queue.statuses() == tuple(
+            FrameState.DRAWING if i == held else FrameState.FREE
+            for i in range(session.queue.depth))
 
 
 class TestPresentDirect:

@@ -20,14 +20,13 @@ from fbcomp.widgets import render_pattern
 TIMEOUT_US = 200_000
 
 
-def make_server(width=400, height=300, clock=None, sink=None,
-                fps_window_us=2_000_000):
+def make_server(width=400, height=300, clock=None, sink=None):
     clock = clock or SimClock()
     sink = sink if sink is not None else ChecksumSink()
     geometry = SurfaceGeometry(width, height, compute_pitch(width, PixelFormat.R8G8B8A8))
     target = CompositionTarget(geometry, PixelFormat.R8G8B8A8,
                                background=0x101010FF)
-    return CompositorServer(target, sink, clock, fps_window_us), sink
+    return CompositorServer(target, sink, clock), sink
 
 
 def make_client(clock, width=64, height=64, fmt=PixelFormat.R8G8B8A8,
@@ -238,9 +237,10 @@ class TestCompose:
                 submit(session, i)
                 rep = server.compose_once(clock.now_us())
                 assert rep.clients[0].outcome == "new"
-                assert not desc.held.surface.writable
-                assert desc.held.surface is desc.queue.surface(desc.held.index)
-                seen.add(desc.held.index)
+                held = desc.queue.held
+                assert not held.surface.writable
+                assert held.surface is desc.queue.surface(held.index)
+                seen.add(held.index)
                 expected = Surface.allocate(desc.queue.geometry, PixelFormat.R8G8B8A8)
                 render_pattern(expected, i)
                 assert np.array_equal(server.target.surface.pixels()[:64, :64],
@@ -375,11 +375,12 @@ class TestFramerate:
         # each disconnect, a fresh region on a fresh server. The running
         # count must equal the window's sum, and every decision the sum's.
         rng = random.Random(seed)
-        window = 200_000
+        window = CompositorServer.fps_window_us
+        min_fps = 4 * 1e6 / window   # four frames a window keep a client
         clock = SimClock()
-        server, _ = make_server(clock=clock, fps_window_us=window)
+        server, _ = make_server(clock=clock)
         buf, a = make_client(clock, depth=3, timeout_us=10_000_000)
-        desc = server.register_client(buf, Rect(0, 0, 64, 64), 20)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), min_fps)
         entries = []              # (t, frames) as the old code summed them
         seen = dict.fromkeys(("keep", "disconnect", "edge", "forged",
                               "backward", "restart"), 0)
@@ -389,12 +390,12 @@ class TestFramerate:
                 t = max(t + 1, entries[0][0] + window)   # drop it exactly
                 seen["edge"] += entries[0][0] + window == t
             else:
-                t += rng.randrange(5_000, 40_000)
+                t += rng.randrange(window // 40, window // 5)
             clock.advance_to(t)
             if desc.state is ClientState.DISCONNECTED:
-                server, _ = make_server(clock=clock, fps_window_us=window)
+                server, _ = make_server(clock=clock)
                 buf, a = make_client(clock, depth=3, timeout_us=10_000_000)
-                desc = server.register_client(buf, desc.placement, 20)
+                desc = server.register_client(buf, desc.placement, min_fps)
                 entries = []
                 seen["restart"] += 1
             for _ in range(rng.choice([0, 0, 1, 1, 1, 2, 3])):
@@ -425,7 +426,8 @@ class TestFramerate:
             frames = sum(n for _, n in entries)
             if not active:
                 expected = "disconnect"
-            elif t - desc.connected_at_us < window or frames * 1e6 / window >= 20:
+            elif (t - desc.connected_at_us < window
+                  or frames * 1e6 / window >= min_fps):
                 expected = "keep"
             else:
                 expected = "disconnect"
@@ -446,7 +448,8 @@ class TestFramerate:
         consumer = shm.queue_view(buf, shm.read_header(buf))
         for i in range(20):
             submit(a, i)
-            consumer.release_frame(consumer.take_for_display())
+            consumer.take_for_display()
+        consumer.release_frame(consumer.held)   # hand the region over empty
         desc = server.register_client(buf, Rect(0, 0, 64, 64), 30)
         assert desc.last_frame_seq == 20
         submit(a, 21)
@@ -534,7 +537,7 @@ class TestReconnect:
                                   FrameState.DRAWING]
         server.disconnect(desc, "watchdog")
         assert a.queue.statuses() == before
-        assert desc.held is None
+        assert before[desc.queue.held.index] is FrameState.DRAWING
         assert [e.reason for e in server.events] == ["watchdog"]
         assert shm.read_detach_flag(buf, desc.header) == 1
         a.end_frame()
@@ -613,7 +616,7 @@ class TestIsolationUnit:
         rep = server.compose_once(clock.now_us())
         assert rep.clients[0].outcome == "disconnected"
         assert server.events[0].reason == "fault"
-        assert da.held is None
+        assert da.queue.held.index == 1 - index
         statuses = [FrameState.FREE, FrameState.FREE]
         statuses[1 - index] = FrameState.DRAWING
         assert a.queue.statuses() == tuple(statuses)
@@ -627,14 +630,38 @@ class TestIsolationUnit:
         da = server.register_client(buf, Rect(0, 0, 64, 64), 1)
         submit(a, 1)
         server.compose_once(clock.now_us())
-        index = da.held.index
-        forge_slot(buf, index, 99, da.held.sequence)
+        index = da.queue.held.index
+        forge_slot(buf, index, 99, da.queue.held.sequence)
         rep = server.compose_once(clock.now_us())
         assert rep.clients[0].outcome == "disconnected"
         (event,) = server.events
         assert event.reason == "fault"
         assert f"slot {index}" in event.detail and "99" in event.detail
-        assert da.held is None
+
+    def test_held_slot_forged_ready_is_taken_again_and_kept(self):
+        # The client marks its DRAWING slot READY with a newer sequence.
+        # The take chooses that slot again, so it must stay DRAWING and
+        # held rather than be freed as the frame the take replaced; and
+        # after that, every tick holds exactly one slot, the held one.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        buf, a = make_client(clock, depth=3)
+        desc = server.register_client(buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+        server.compose_once(clock.now_us())
+        index = desc.queue.held.index
+        forge_slot(buf, index, FrameState.READY, 99)
+        rep = server.compose_once(clock.now_us())
+        assert (rep.clients[0].outcome, rep.clients[0].sequence) == ("new", 99)
+        assert a.queue.status(index) is FrameState.DRAWING
+        assert desc.queue.held.index == index
+        for i in range(3):
+            submit(a, 2 + i)
+            assert server.compose_once(clock.now_us()).clients[0].outcome == "new"
+            drawing = [j for j, st in enumerate(a.queue.statuses())
+                       if st is FrameState.DRAWING]
+            assert drawing == [desc.queue.held.index], i
+        assert desc.state is ClientState.ACTIVE
 
     @pytest.mark.parametrize("error", [ValueError, IndexError, TypeError,
                                        struct.error],
@@ -755,8 +782,8 @@ def full_repaint(server):
         if desc.state is ClientState.DISCONNECTED:
             ref.pixels()[p.y:p.y + p.height, p.x:p.x + p.width] = \
                 old_crosshatch(target.format, p.width, p.height)
-        elif desc.held is not None:
-            blit(desc.held.surface, ref, p)
+        elif desc.queue.held is not None:
+            blit(desc.queue.held.surface, ref, p)
     return ref
 
 
@@ -774,7 +801,7 @@ class TestDamage:
         def add(rect):
             buf, session = make_client(clock, rect.width, rect.height,
                                        fmt=rng.choice(list(PixelFormat)),
-                                       depth=rng.randint(1, 3),
+                                       depth=rng.randint(2, 3),
                                        timeout_us=10_000_000)
             desc = server.register_client(buf, rect, 0.0)
             clients[desc.id] = (buf, session)

@@ -1,4 +1,5 @@
 import random
+import struct
 import threading
 import time
 import zlib
@@ -38,8 +39,7 @@ class TestProducerSide:
         h = q.acquire_frame()
         q.submit_frame(h)
         assert h.sequence == 1
-        q.take_for_display()
-        q.release_frame  # held implicitly; reuse the other slot
+        q.take_for_display()   # held: the producer reuses the other slot
         h2 = q.acquire_frame()
         q.submit_frame(h2)
         assert h2.sequence == 2
@@ -78,6 +78,7 @@ class TestConsumerSide:
     def test_empty_queue_returns_none(self):
         q = make_queue(2)
         assert q.take_for_display() is None
+        assert q.held is None
 
     def test_release_returns_slot_to_free(self):
         q, _ = self._two_ready()
@@ -100,17 +101,20 @@ class TestConsumerSide:
         for _ in range(3):
             assert q.take_for_display() is None
             assert q.status(taken.index) == FrameState.DRAWING
+            assert q.held is taken
 
     def test_released_old_frame_becomes_acquirable(self):
         q = make_queue(2)
         h = q.acquire_frame()
         q.submit_frame(h)
         old = q.take_for_display()
+        assert q.held is old
         h2 = q.acquire_frame()
         q.submit_frame(h2)
         new = q.take_for_display()
-        assert new.index != old.index
-        q.release_frame(old)
+        assert new.index != old.index and q.held is new
+        assert q.status(old.index) == FrameState.FREE
+        assert q.status(new.index) == FrameState.DRAWING
         again = q.acquire_frame()
         assert again is not None and again.index == old.index
 
@@ -159,11 +163,41 @@ class TestRecords:
         for _ in range(3):
             h = q.acquire_frame()
             q.submit_frame(h)
-            q.release_frame(q.take_for_display())
+            q.take_for_display()
         again = make_queue(2, buf)
         h = again.acquire_frame()
         again.submit_frame(h)
         assert h.sequence == 4
+
+
+class TestReleaseSpan:
+    def test_take_releases_through_the_instance_attribute(self):
+        # The benchmark times frame_queue.release by wrapping release_frame
+        # on each queue instance, so a take must call it by that name: once
+        # when it replaces the held frame, never when it takes that slot
+        # again.
+        buf = bytearray(2 * STATUS_RECORD_SIZE + 2 * 4)
+        q = make_queue(2, buf)
+        released = []
+        release = q.release_frame
+
+        def traced(handle):
+            released.append(handle.index)
+            return release(handle)
+
+        q.release_frame = traced
+        q.submit_frame(q.acquire_frame())
+        first = q.take_for_display()
+        assert released == []
+        q.submit_frame(q.acquire_frame())
+        second = q.take_for_display()
+        assert released == [first.index]
+        struct.pack_into("<I4xQ", buf, second.index * STATUS_RECORD_SIZE,
+                         int(FrameState.READY), 99)
+        assert q.take_for_display().index == second.index
+        assert released == [first.index]
+        assert q.held.sequence == 99
+        assert q.status(second.index) == FrameState.DRAWING
 
 
 class TestModelCheck:
@@ -189,7 +223,10 @@ class TestBufferingModes:
                 if t is not None:
                     assert t.sequence > last
                     last = t.sequence
-                    q.release_frame(t)
+                # the held frame is the only DRAWING slot
+                assert [i for i, st in enumerate(q.statuses())
+                        if st == FrameState.DRAWING] == \
+                    ([] if q.held is None else [q.held.index])
 
     def test_depth_three_producer_never_blocks_with_held_frame(self):
         # Triple buffering: the consumer holds one DRAWING frame while
@@ -203,10 +240,7 @@ class TestBufferingModes:
             h = q.acquire_frame()
             assert h is not None, "producer blocked under triple buffering"
             q.submit_frame(h)
-            t = q.take_for_display()
-            if t is not None:
-                q.release_frame(held)
-                held = t
+            assert q.take_for_display() is not None
 
     def test_depth_two_double_buffering_alternates(self):
         # Producer fills the back buffer while the consumer still holds
@@ -221,9 +255,7 @@ class TestBufferingModes:
             assert h is not None and h.index != held.index
             q.submit_frame(h)
             slots.append(h.index)
-            nxt = q.take_for_display()
-            q.release_frame(held)
-            held = nxt
+            held = q.take_for_display()
         assert slots == [1, 0] * 3
 
 
@@ -268,7 +300,6 @@ def run_tearing_stress(duration_s: float, seed: int = 0):
 
     def consume():
         rng = random.Random(seed + 1)
-        held = None
         while not stop.is_set():
             t = consumer.take_for_display()
             if t is None:
@@ -280,9 +311,6 @@ def run_tearing_stress(duration_s: float, seed: int = 0):
             checked[0] += 1
             if actual != expected:
                 failures.append((t.sequence, expected, actual))
-            if held is not None:
-                consumer.release_frame(held)
-            held = t
             if rng.random() < 0.3:
                 time.sleep(rng.random() * 2e-4)
 

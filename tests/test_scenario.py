@@ -7,6 +7,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +15,15 @@ from hypothesis import strategies as st
 from fbcomp import regions, widgets
 from fbcomp import bench
 from fbcomp.bench import BenchConfig
-from fbcomp.compositor import CompositorServer
-from fbcomp.pixel import PixelFormat
+from fbcomp.compositor import CompositorServer, INDICATOR_COLOR, INDICATOR_FILL
+from fbcomp.pixel import PixelFormat, Surface
 from fbcomp.widgets import MIN_SIDE
 from fbcomp.scenario import (CLOCKS, SINKS, WIDGETS, ClientSpec, FaultAction,
                              RunSpec, ScenarioConfig, TargetSpec, from_section,
                              load_scenario, parse_scenario, run_scenario,
                              to_section)
 
-from test_acceptance import _containment_config
+from test_acceptance import _containment_config, _naive_layout
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,7 +34,7 @@ _names = st.text("abcxyz019_./-", min_size=1, max_size=12)
 _sizes = st.integers(min_value=1)
 # Sides the counters widget renders: every bench phase draws it.
 _sides = st.integers(min_value=MIN_SIDE)
-_depths = st.integers(1, 8)
+_depths = st.integers(2, 8)
 _faults = st.tuples(
     st.sampled_from(["stall", "crash", "garbage-header", "flip-status",
                      "slow-to"]),
@@ -128,6 +129,48 @@ def two_client_config(duration_s=1.0, clock="sim", sink="checksum", **kw):
     )
 
 
+def _pixel_bytes(fmt, r, g, b, a):
+    """One pixel's four bytes in `fmt`, from the format's name alone."""
+    channel = {"r": r, "g": g, "b": b, "a": a}
+    return [channel[c] for c in _naive_layout(fmt)]
+
+
+def _pattern_frame(spec, sequence, fmt):
+    """The frame a pattern client submits as `sequence`, drawn in the
+    client's format and moved to `fmt` by plain byte reordering."""
+    frame = Surface.allocate(spec.region_config().geometry, spec.format)
+    widgets.render_pattern(frame, sequence - 1)
+    src, dst = _naive_layout(spec.format), _naive_layout(fmt)
+    return frame.pixels()[..., [src.index(c) for c in dst]]
+
+
+def _target_problems(config, target, report):
+    """Where the composed target differs from the reference: each shown
+    frame's pattern, only indicator colours over a disconnected client,
+    background everywhere else. Client ids follow the config's order."""
+    fmt = target.format
+    actual = target.surface.pixels()
+    expected = np.empty_like(actual)
+    expected[:] = _pixel_bytes(fmt, *config.target.background.to_bytes(4, "big"))
+    indicator = [int.from_bytes(bytes(_pixel_bytes(fmt, *c)), "little")
+                 for c in (INDICATOR_COLOR, INDICATOR_FILL)]
+    problems = []
+    for cr in report.clients:
+        spec = config.clients[cr.client_id - 1]
+        p = spec.placement
+        area = (slice(p.y, p.y + p.height), slice(p.x, p.x + p.width))
+        if cr.outcome in ("new", "held"):
+            expected[area] = _pattern_frame(spec, cr.sequence, fmt)
+        elif cr.outcome == "disconnected":
+            if not np.isin(actual[area].view("<u4"), indicator).all():
+                problems.append(f"{spec.name}: not only indicator colours")
+            expected[area] = actual[area]
+    if not np.array_equal(actual, expected):
+        problems.append(f"{(actual != expected).any(axis=2).sum()} pixels "
+                        f"differ at t={report.t_us}")
+    return problems
+
+
 class TestConfigFormat:
     def test_round_trip_equality(self):
         config = two_client_config(
@@ -184,6 +227,8 @@ class TestConfigFormat:
         ("[client:a]\ncomplexity = -2\n", r"\[client:a\] complexity"),
         ("[client:a]\nfaults = slow-to:0@1\n", "slow-to fps"),
         ("[client:a]\nqueue_depth = 0\n", r"\[client:a\] queue depth"),
+        ("[client:a]\nqueue_depth = 1\n",
+         r"\[client:a\] queue depth: frameCount 1 outside 2\.\.8"),
         ("[client:a]\nqueue_depth = 9\n", r"\[client:a\] queue depth"),
         ("[client:a]\ntimeout = 0\n", r"\[client:a\] timeout"),
         ("[client:a]\ntimeout = inf\n", r"\[client:a\] timeout"),
@@ -222,7 +267,7 @@ class TestConfigFormat:
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
             "complexity-negative", "slow-to-fps-0", "queue-depth-0",
-            "queue-depth-9", "timeout-0", "timeout-inf",
+            "queue-depth-1", "queue-depth-9", "timeout-0", "timeout-inf",
             "timeout-below-two-periods", "width-0", "fps-over-u32",
             "timeout-over-u64", "timeout-overflows-float", "duration-negative",
             "duration-0", "duration-inf", "watchdog-poll-0", "target-width-0",
@@ -555,6 +600,45 @@ class TestWallEngine:
         for result in report.clients.values():
             assert result.exit_status == "ok"
             assert result.presented > 0
+
+    def test_target_pixels_match_client_frames_across_processes(
+            self, monkeypatch):
+        # Frames drawn in forked clients, read by the server through the
+        # read-only mapping, native and converted, beside a garbage-header
+        # and a stalled client: every 7th composed target is checked
+        # against plain numpy in the calling process, which is the server.
+        fmt = PixelFormat.B8G8R8A8
+        config = ScenarioConfig(
+            target=TargetSpec(width=320, height=80, format=fmt, rate=60),
+            run=RunSpec(duration_s=1.0, clock="wall", sink="null"),
+            clients=tuple(ClientSpec(
+                name, width=64, height=64, x=80 * i, y=8, fps=fps,
+                timeout_s=0.2, format=f, faults=faults)
+                for i, (name, f, fps, faults) in enumerate([
+                    ("native", fmt, 48, ()),
+                    ("converted", PixelFormat.A8R8G8B8, 20, ()),
+                    ("garbage", fmt, 48, (FaultAction("garbage-header", 0.3),)),
+                    ("stall", PixelFormat.A8R8G8B8, 48,
+                     (FaultAction("stall", 0.2),))])))
+        compose_once = CompositorServer.compose_once
+        problems, outcomes, ticks = [], set(), [0]
+
+        def checked_compose(server, now_us=None):
+            report = compose_once(server, now_us)
+            ticks[0] += 1
+            if ticks[0] % 7 == 0:
+                problems.extend(_target_problems(config, server.target, report))
+                outcomes.update((config.clients[cr.client_id - 1].name,
+                                 cr.outcome) for cr in report.clients)
+            return report
+
+        monkeypatch.setattr(CompositorServer, "compose_once", checked_compose)
+        report = run_scenario(config)
+        assert report.ok, report.violations
+        assert problems == []
+        assert {("native", "new"), ("converted", "new"),
+                ("converted", "held"), ("garbage", "disconnected"),
+                ("stall", "disconnected")} <= outcomes
 
     def test_server_bug_propagates_and_cleans_up(self, monkeypatch):
         created = []

@@ -33,7 +33,7 @@ def random_config(rng):
         formats=formats,
         framerate=framerate,
         timeout_us=rng.randint(2 * (1_000_000 // framerate), 10_000_000),
-        queue_depth=rng.randint(1, 8),
+        queue_depth=rng.randint(2, 8),
         frame_padding=rng.choice([64, 256, 1024, 4096]),
     )
 
@@ -48,7 +48,7 @@ class TestLayout:
 
     def test_stride_tiny_surface(self):
         config = small_config(geometry=SurfaceGeometry(1, 1, 4),
-                              queue_depth=1, frame_padding=64)
+                              queue_depth=2, frame_padding=64)
         assert shm.layout_for(config).frame_stride == 64
 
     def test_required_size_matches_independent_summation(self):
@@ -132,7 +132,7 @@ def _admitted_header(framerate, timeout_us, depth):
     """Admit a published, well-formed region after writing these values
     into its header's framerate, timeout and frameCount words."""
     buf, _ = shm.allocate_region(
-        small_config(queue_depth=depth if 1 <= depth <= 8 else 2))
+        small_config(queue_depth=depth if 2 <= depth <= 8 else 2))
     shm.publish(buf)
     struct.pack_into("<IQ", buf, 20, framerate, timeout_us)
     struct.pack_into("<I", buf, 40, depth)
@@ -152,9 +152,11 @@ class TestTimingRule:
     # (framerate, timeout_us, depth, the rule it breaks)
     BAD = {
         "depth-0": (30, 100_000, 0, "queue depth: frameCount 0 outside"),
+        "depth-1": (30, 100_000, 1, r"frameCount 1 outside 2\.\.8 \(the "
+                    r"consumer always holds one slot\)"),
         "depth-9": (30, 100_000, 9, "queue depth: frameCount 9 outside"),
         "framerate-0": (0, 100_000, 2, "framerate 0 not positive"),
-        "timeout-0-at-2MHz": (2_000_000, 0, 1, "timeout 0us not positive"),
+        "timeout-0-at-2MHz": (2_000_000, 0, 2, "timeout 0us not positive"),
         "timeout-1us-short": (60, 33_331, 2,
                               "timeout 33331us below two frame periods"),
     }
@@ -168,10 +170,10 @@ class TestTimingRule:
 
     @_BOTH_ENDS
     def test_boundaries_accepted(self, make, error):
-        make(60, 33_332, 1)
+        make(60, 33_332, 2)
         make(60, 33_332, 8)
-        make(2_000_000, 1, 1)
-        make(1, 2**64 - 1, 1)   # the largest timeout its u64 word holds
+        make(2_000_000, 1, 2)
+        make(1, 2**64 - 1, 2)   # the largest timeout its u64 word holds
 
     @pytest.mark.parametrize("framerate, timeout_us, rule", [
         (-1, 100_000, "framerate -1 not positive"),
