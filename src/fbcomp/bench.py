@@ -68,8 +68,9 @@ class BenchConfig:
                           or scenario._positive(self.compose_rate), "bench",
                           "compose_rate", self.compose_rate,
                           "positive and finite, or empty")
-        scenario._require(2 <= self.queue_depth <= 8, "bench", "queue_depth",
-                          self.queue_depth, "in 2..8")
+        scenario._require(self.queue_depth in shm.QUEUE_DEPTHS, "bench",
+                          "queue_depth", self.queue_depth,
+                          f"in {shm.QUEUE_DEPTHS[0]}..{shm.QUEUE_DEPTHS[-1]}")
         scenario._require(self.complexity >= 1, "bench", "complexity",
                           self.complexity, "at least 1")
         # Every phase renders the counters widget, on the target and on

@@ -32,8 +32,8 @@ class SimClock(Clock):
     identically under simulation.
     """
 
-    def __init__(self, start_us: int = 0):
-        self._now = int(start_us)
+    def __init__(self):
+        self._now = 0
 
     def now_us(self) -> int:
         return self._now

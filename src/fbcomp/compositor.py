@@ -40,7 +40,10 @@ bug and propagates.
 
 One thread drives the server: registration, the watchdog and
 framerate checks and compose all run on it, so the client table needs
-no lock.
+no lock. Every tick entry point (`compose_once`, `check_watchdogs`,
+`check_framerates`, `disconnect`) takes its time from the caller, so
+each decision carries the one time its tick was given; only
+`register_client` reads the server's clock.
 """
 
 from __future__ import annotations
@@ -54,14 +57,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import shm
-from .clock import Clock, WallClock
+from .clock import Clock
 from .errors import (FramebufferError, IncompatibleProtocol, PlacementConflict,
                      PresentFailure)
 from .frame_queue import FrameQueue
 from .pixel import (PixelFormat, Rect, Surface, SurfaceGeometry, blit,
                     pack_channels)
 
-DEFAULT_BACKGROUND = 0x000000FF          # opaque black in R8G8B8A8 terms
 INDICATOR_COLOR = (255, 176, 0, 255)     # warning amber
 INDICATOR_FILL = (48, 16, 16, 255)
 _INDICATOR_SPACING = 16
@@ -107,7 +109,6 @@ class ClientDescriptor:
     queue: FrameQueue
     placement: Rect
     min_fps: float
-    timeout_us: int
     state: ClientState = ClientState.ACTIVE
     last_frame_seq: int = 0
     deadline_us: int = 0
@@ -138,16 +139,13 @@ class CompositionTarget:
     """The server's output surface plus background and indicator policy."""
 
     def __init__(self, geometry: SurfaceGeometry, fmt: PixelFormat,
-                 background: int = DEFAULT_BACKGROUND):
+                 background: int):
+        """`background` is a u32 pixel in R8G8B8A8 terms (0xRRGGBBAA)."""
         self.surface = Surface.allocate(geometry, fmt)
         self.geometry = geometry
         self.format = PixelFormat(fmt)
         self.background = background
-        self._bg_native = pack_channels(fmt, *self._bg_rgba())
-
-    def _bg_rgba(self):
-        v = self.background & 0xFFFFFFFF
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+        self._bg_native = pack_channels(fmt, *background.to_bytes(4, "big"))
 
     def clear(self, area: Rect) -> None:
         """Fill `area` with the background, one u32 store per pixel."""
@@ -160,11 +158,10 @@ class CompositorServer:
     # The sliding window the minimum-fps policy judges a client over.
     fps_window_us = 2_000_000
 
-    def __init__(self, target: CompositionTarget, sink,
-                 clock: Optional[Clock] = None):
+    def __init__(self, target: CompositionTarget, sink, clock: Clock):
         self.target = target
         self.sink = sink
-        self.clock = clock or WallClock()
+        self.clock = clock           # read only by register_client
         self.clients: Dict[int, ClientDescriptor] = {}
         self.events: List[DisconnectEvent] = []
         self.frames_presented = 0
@@ -203,7 +200,7 @@ class CompositorServer:
         desc = ClientDescriptor(
             id=self._next_id, region=memoryview(region), header=header,
             queue=queue, placement=placement,
-            min_fps=min_fps, timeout_us=header.timeout_us,
+            min_fps=min_fps,
             # A region can carry frames before it is registered; the first
             # take counts only what was submitted after this point.
             last_frame_seq=max(queue.sequence(i) for i in range(queue.depth)),
@@ -217,8 +214,7 @@ class CompositorServer:
 
     # -- fault policies ----------------------------------------------------
 
-    def disconnect(self, desc: ClientDescriptor, reason: str,
-                   now_us: Optional[int] = None,
+    def disconnect(self, desc: ClientDescriptor, reason: str, now_us: int,
                    detail: str = "") -> DisconnectEvent:
         """Forcibly detach: stop reading the region, make it visible.
 
@@ -228,65 +224,52 @@ class CompositorServer:
         """
         desc.state = ClientState.DISCONNECTED
         shm.write_detach_flag(desc.region, desc.header, 1)
-        event = DisconnectEvent(self.clock.now_us() if now_us is None else now_us,
-                                desc.id, reason, detail)
+        event = DisconnectEvent(now_us, desc.id, reason, detail)
         self.events.append(event)
         return event
 
-    def check_watchdogs(self, now_us: Optional[int] = None) -> List[DisconnectEvent]:
+    def check_watchdogs(self, now_us: int) -> List[DisconnectEvent]:
         """Disconnect every active client whose deadline has passed.
 
         A heartbeat observed since the last check pushes the deadline to
-        observation time + timeout.
+        observation time + timeout. Returns the events it fired.
         """
-        now = self.clock.now_us() if now_us is None else now_us
         fired = []
-        active = [d for d in self.clients.values()
-                  if d.state is ClientState.ACTIVE]
-        for desc in active:
+        for desc in self.clients.values():
+            if desc.state is not ClientState.ACTIVE:
+                continue
             hb = shm.read_heartbeat(desc.region, desc.header)
             if hb != desc.last_heartbeat:
                 desc.last_heartbeat = hb
-                desc.deadline_us = now + desc.timeout_us
-            elif now > desc.deadline_us:
-                fired.append(self.disconnect(desc, "watchdog", now))
+                desc.deadline_us = now_us + desc.header.timeout_us
+            elif now_us > desc.deadline_us:
+                fired.append(self.disconnect(desc, "watchdog", now_us))
         return fired
 
-    def check_framerate(self, desc: ClientDescriptor,
-                        now_us: Optional[int] = None) -> str:
-        """'keep' or 'disconnect' based on fps over the sliding window.
+    def check_framerates(self, now_us: int) -> List[DisconnectEvent]:
+        """Disconnect every active client below its min_fps over the
+        sliding window. Returns the events it fired.
 
-        Only judged once a full window has elapsed since connection, and
-        the threshold is strict: exactly min_fps keeps the client. The
-        frame count is kept running beside the window, so a check costs
-        the entries it drops, not the window's length.
+        A client is judged only once a full window has elapsed since it
+        connected, and the threshold is strict: exactly min_fps keeps it.
+        The frame count is kept running beside the window, so a check
+        costs the entries it drops, not the window's length.
         """
-        now = self.clock.now_us() if now_us is None else now_us
-        if desc.state is not ClientState.ACTIVE:
-            return "disconnect"
         window = self.fps_window_us
-        while desc.fps_window and desc.fps_window[0][0] <= now - window:
-            desc.fps_frames -= desc.fps_window.popleft()[1]
-        if now - desc.connected_at_us < window:
-            return "keep"
-        fps = desc.fps_frames * 1e6 / window
-        if fps < desc.min_fps:
-            self.disconnect(desc, "low-fps", now)
-            return "disconnect"
-        return "keep"
-
-    def check_framerates(self, now_us: Optional[int] = None) -> List[DisconnectEvent]:
-        now = self.clock.now_us() if now_us is None else now_us
-        before = len(self.events)
-        active = [d for d in self.clients.values()
-                  if d.state is ClientState.ACTIVE]
-        for desc in active:
-            self.check_framerate(desc, now)
-        return self.events[before:]
+        fired = []
+        for desc in self.clients.values():
+            if desc.state is not ClientState.ACTIVE:
+                continue
+            while desc.fps_window and desc.fps_window[0][0] <= now_us - window:
+                desc.fps_frames -= desc.fps_window.popleft()[1]
+            if (now_us - desc.connected_at_us >= window
+                    and desc.fps_frames * 1e6 / window < desc.min_fps):
+                fired.append(self.disconnect(desc, "low-fps", now_us))
+        return fired
 
     # -- composition -------------------------------------------------------
 
-    def compose_once(self, now_us: Optional[int] = None) -> ComposeReport:
+    def compose_once(self, now_us: int) -> ComposeReport:
         """Build one output frame and present it.
 
         Fills the whole target with the background on the first tick.
@@ -301,7 +284,6 @@ class CompositorServer:
         continues. A sink's OSError propagates as PresentFailure, and any
         other exception, a server bug, as itself.
         """
-        now = self.clock.now_us() if now_us is None else now_us
         if not self._filled:
             g = self.target.geometry
             self._paint(Rect(0, 0, g.width, g.height), None)
@@ -313,9 +295,9 @@ class CompositorServer:
                 report = ClientReport(desc.id, "disconnected")
             else:
                 try:
-                    report, source = self._compose_client(desc, now)
+                    report, source = self._compose_client(desc, now_us)
                 except FramebufferError as exc:
-                    self.disconnect(desc, "fault", now, detail=str(exc))
+                    self.disconnect(desc, "fault", now_us, detail=str(exc))
                     report = ClientReport(desc.id, "disconnected")
             reports.append(report)
             if report.outcome == "new" or desc.shown is not source:
@@ -325,12 +307,12 @@ class CompositorServer:
         y0, y1 = self._unpresented
         self.target.surface.damage = (y0, y1) if y0 < y1 else (0, 0)
         try:
-            self.sink.present(self.target.surface, now)
+            self.sink.present(self.target.surface, now_us)
         except OSError as exc:
             raise PresentFailure(str(exc)) from exc
         self._unpresented = (self.target.geometry.height, 0)
         self.frames_presented += 1
-        return ComposeReport(now, reports)
+        return ComposeReport(now_us, reports)
 
     def _compose_client(self, desc: ClientDescriptor,
                         now: int) -> Tuple[ClientReport, Optional[Surface]]:

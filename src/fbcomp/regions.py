@@ -31,14 +31,13 @@ def _path(name: str) -> str:
 
 
 class SharedRegion:
-    """One mapped shared-memory object."""
+    """One mapped shared-memory object: created at `size` bytes when a
+    size is given, otherwise opened at the size it has."""
 
-    def __init__(self, name: str, size: Optional[int] = None, create: bool = False):
+    def __init__(self, name: str, size: Optional[int] = None):
         self.name = name
         path = _path(name)
-        if create:
-            if size is None:
-                raise ValueError("size required when creating a region")
+        if size is not None:
             # Size under a scratch name, then rename: anyone who can see
             # the final path sees a fully sized file.
             tmp = f"{path}.tmp{os.getpid()}"
@@ -76,7 +75,7 @@ class SharedRegion:
 
 
 def create_region(name: str, size: int) -> SharedRegion:
-    return SharedRegion(name, size, create=True)
+    return SharedRegion(name, size)
 
 
 def open_region(name: str) -> SharedRegion:

@@ -498,15 +498,14 @@ class _Server:
         self.clock = clock
         self.compose_period = int(1e6 / config.target.rate)
         self.watchdog_period = max(1, int(config.run.watchdog_poll_s * 1e6))
-        self.names: Dict[int, str] = {}
-        self.presented = {spec.name: 0 for spec in config.clients}
+        self.presented: Dict[int, int] = {}   # new frames by client id
         self.violations: List[str] = []
         self.start_us = 0
 
     def register(self, spec: ClientSpec, region, pixel_buf=None) -> None:
         desc = self.server.register_client(region, spec.placement, spec.min_fps,
                                            pixel_buf=pixel_buf)
-        self.names[desc.id] = spec.name
+        self.presented[desc.id] = 0
 
     def steps(self, start_us: int) -> List[Tuple[int, int, str, _Step]]:
         """Loop entries for both server steps; `start_us` is the time origin
@@ -524,7 +523,7 @@ class _Server:
         try:
             for cr in self.server.compose_once(now).clients:
                 if cr.outcome == "new":
-                    self.presented[self.names[cr.client_id]] += 1
+                    self.presented[cr.client_id] += 1
         except FramebufferError as exc:
             self.violations.append(
                 f"compose at {now - self.start_us}us failed: {exc}")
@@ -535,7 +534,9 @@ class _Server:
 def _build_report(config: ScenarioConfig, server: _Server,
                   clients: Dict[str, dict]) -> ScenarioReport:
     """Assemble the report from the server's tallies and each client's;
-    a client with no tallies died without reporting."""
+    a client with no tallies died without reporting. Clients register in
+    config order and the server's table only grows, so the table pairs
+    with `config.clients` in order."""
     sink = server.sink
     report = ScenarioReport(
         duration_us=int(config.run.duration_s * 1e6), clock=config.run.clock,
@@ -546,12 +547,11 @@ def _build_report(config: ScenarioConfig, server: _Server,
                     if isinstance(sink, sinks.ImageSequenceSink) else None),
         checksums=(sink.checksums()
                    if isinstance(sink, sinks.ChecksumSink) else []))
-    for spec in config.clients:
-        res = ClientResult(spec.name, presented=server.presented[spec.name])
+    for spec, desc in zip(config.clients, server.server.clients.values()):
+        res = ClientResult(spec.name, presented=server.presented[desc.id])
         res.disconnect = next(((e.t_us - server.start_us, e.reason)
                                for e in server.server.events
-                               if server.names[e.client_id] == spec.name),
-                              None)
+                               if e.client_id == desc.id), None)
         out = clients.get(spec.name)
         if out is None:
             res.exit_status = "crashed"

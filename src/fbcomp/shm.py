@@ -58,6 +58,8 @@ MAGIC = 0x4A464243  # "JFBC"
 FORMAT_TABLE_OFFSET = 64
 PRIVATE_AREA_SIZE = 256
 DEFAULT_FRAME_PADDING = 4096
+# The frameCount a region may carry: the consumer always holds one slot.
+QUEUE_DEPTHS = range(2, 9)
 
 _HEADER = struct.Struct("<6IQ7I")  # the fields of HeaderFields, in order
 HEADER_SIZE = _HEADER.size
@@ -267,9 +269,10 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
                 violations.append(f"format table entry {i} has unknown tag {tag}")
 
     frame_end = h.frame_offset + STATUS_RECORD_SIZE * h.frame_count
-    if h.frame_count < 2 or h.frame_count > 8:
+    if h.frame_count not in QUEUE_DEPTHS:
         violations.append(f"queue depth: frameCount {h.frame_count} outside "
-                          "2..8 (the consumer always holds one slot)")
+                          f"{QUEUE_DEPTHS[0]}..{QUEUE_DEPTHS[-1]} "
+                          "(the consumer always holds one slot)")
     elif h.frame_offset < HEADER_SIZE or frame_end > size or frame_end < h.frame_offset:
         violations.append(f"frame status array [{h.frame_offset}, {frame_end}) outside region")
     else:
@@ -284,7 +287,7 @@ def _violations(h: HeaderFields, size: int) -> List[str]:
         spans.append((h.private_offset, priv_end, "private area"))
 
     stride = h.frame_stride
-    if stride and 2 <= h.frame_count <= 8:
+    if stride and h.frame_count in QUEUE_DEPTHS:
         data_end = h.frame_data_offset + h.frame_count * stride
         if (h.frame_data_offset < HEADER_SIZE or data_end > size
                 or data_end < h.frame_data_offset):

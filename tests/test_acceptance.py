@@ -256,7 +256,7 @@ def test_7_preservation_golden():
     golden_px = server.target.surface.pixels()[20:84, 10:74].copy()
     stale = 0
     for _ in range(50):
-        clock.sleep_us(desc.timeout_us // 2)
+        clock.sleep_us(desc.header.timeout_us // 2)
         session.heartbeat()
         server.check_watchdogs(clock.now_us())
         rep = server.compose_once(clock.now_us())

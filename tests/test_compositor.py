@@ -431,8 +431,13 @@ class TestFramerate:
                 expected = "keep"
             else:
                 expected = "disconnect"
-            decision = server.check_framerate(desc, t)
+            events = server.check_framerates(t)
+            decision = ("keep" if desc.state is ClientState.ACTIVE
+                        else "disconnect")
             assert decision == expected, tick
+            assert [(e.client_id, e.reason) for e in events] == (
+                [(desc.id, "low-fps")] if active and decision == "disconnect"
+                else []), tick
             assert list(desc.fps_window) == entries, tick
             assert desc.fps_frames == sum(n for _, n in desc.fps_window), tick
             if active:
@@ -470,7 +475,7 @@ class TestReconnect:
             buf, _ = make_client(clock)
             desc = server.register_client(buf, Rect(x, 0, 64, 64), 1)
             ids.append(desc.id)
-            server.disconnect(desc, "watchdog")
+            server.disconnect(desc, "watchdog", clock.now_us())
         other, _ = make_client(clock)
         ids.append(server.register_client(other, Rect(200, 200, 64, 64), 1).id)
         assert ids == sorted(set(ids))
@@ -535,7 +540,7 @@ class TestReconnect:
         before = a.queue.statuses()
         assert sorted(before) == [FrameState.UPDATING, FrameState.READY,
                                   FrameState.DRAWING]
-        server.disconnect(desc, "watchdog")
+        server.disconnect(desc, "watchdog", clock.now_us())
         assert a.queue.statuses() == before
         assert before[desc.queue.held.index] is FrameState.DRAWING
         assert [e.reason for e in server.events] == ["watchdog"]
@@ -714,8 +719,9 @@ class TestIndicator:
                  (SurfaceGeometry(130, 60, 130 * 4 + 36), (100, 37),
                   [(0, 0), (29, 23)])]
         for geometry, (width, height), spots in cases:
-            server = CompositorServer(CompositionTarget(geometry, fmt),
-                                      ChecksumSink(), SimClock())
+            server = CompositorServer(
+                CompositionTarget(geometry, fmt, 0x000000FF),
+                ChecksumSink(), SimClock())
             raw = server.target.surface.buffer()
             raw[:] = np.arange(raw.size) % 251
             expected = raw.copy().reshape(geometry.height, geometry.pitch)
@@ -736,7 +742,7 @@ class TestIndicator:
             descs.append(server.register_client(buf, rect, 1))
         server.compose_once(clock.now_us())
         for desc in descs:
-            server.disconnect(desc, "watchdog")
+            server.disconnect(desc, "watchdog", clock.now_us())
         rep = server.compose_once(clock.now_us())
         assert [r.outcome for r in rep.clients] == ["disconnected"] * 2
         expected = old_crosshatch(PixelFormat.R8G8B8A8, width, height).tobytes()
@@ -833,7 +839,7 @@ class TestDamage:
                 buf[:16] = b"\xde\xad\xbe\xef" * 4
                 seen["fault"] += 1
             elif roll < 0.12 and active:
-                server.disconnect(rng.choice(active), "watchdog")
+                server.disconnect(rng.choice(active), "watchdog", clock.now_us())
             elif roll < 0.30 and spare:
                 add(spare.pop())
                 seen["register"] += 1
@@ -939,7 +945,7 @@ class TestDamage:
         dc = server.register_client(c_buf, Rect(200, 200, 64, 64), 1)
         submit(a, 3)
         server.compose_once(clock.now_us())
-        server.disconnect(dc, "watchdog")
+        server.disconnect(dc, "watchdog", clock.now_us())
         server.compose_once(clock.now_us())
         painted = server.target.surface.pixels().copy()
         fill_drawing_slot(a)

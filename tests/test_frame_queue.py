@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 import struct
 import threading
@@ -6,8 +8,10 @@ import zlib
 
 import pytest
 
+from fbcomp import regions, shm
 from fbcomp.errors import ProtocolViolation
 from fbcomp.frame_queue import STATUS_RECORD_SIZE, FrameHandle, FrameState
+from fbcomp.pixel import PixelFormat, SurfaceGeometry
 from queue_model import explore, make_queue
 
 
@@ -259,14 +263,51 @@ class TestBufferingModes:
         assert slots == [1, 0] * 3
 
 
-def run_tearing_stress(duration_s: float, seed: int = 0):
-    """Concurrent producer/consumer; every displayed frame must carry a
-    checksum (written before submit) that still validates at display
+def _produce(producer, stop, seed: int) -> None:
+    """Submit frames until `stop` is set; each frame's first 4 bytes are
+    the CRC-32 of the rest, written before submit."""
+    rng = random.Random(seed)
+    while not stop.is_set():
+        h = producer.acquire_frame()
+        if h is None:
+            time.sleep(rng.random() * 1e-4)
+            continue
+        raw = h.surface.buffer()
+        payload = rng.randbytes(raw.size - 4)
+        raw[4:] = memoryview(payload)
+        raw[0:4] = memoryview(zlib.crc32(payload).to_bytes(4, "little"))
+        producer.submit_frame(h)
+        if rng.random() < 0.3:
+            time.sleep(rng.random() * 2e-4)
+
+
+def _consume(consumer, running, seed: int):
+    """Take frames while `running()` and check each one's CRC at display
     time. Returns (frames_checked, failures)."""
-    geometry_px = 32 * 32 * 4
+    rng = random.Random(seed + 1)
+    checked, failures = 0, []
+    while running():
+        t = consumer.take_for_display()
+        if t is None:
+            time.sleep(rng.random() * 1e-4)
+            continue
+        raw = t.surface.buffer()
+        expected = int.from_bytes(raw[0:4].tobytes(), "little")
+        actual = zlib.crc32(raw[4:])
+        checked += 1
+        if actual != expected:
+            failures.append((t.sequence, expected, actual))
+        if rng.random() < 0.3:
+            time.sleep(rng.random() * 2e-4)
+    return checked, failures
+
+
+def run_tearing_stress(duration_s: float, seed: int = 0):
+    """Concurrent producer/consumer threads; every displayed frame must
+    carry a checksum (written before submit) that still validates at
+    display time. Returns (frames_checked, failures)."""
     # A queue with real 32x32 surfaces, viewed once from each side.
     from fbcomp.frame_queue import FrameQueue
-    from fbcomp.pixel import PixelFormat, SurfaceGeometry
     geometry = SurfaceGeometry(32, 32, 128)
     depth = 3
     buf = bytearray(depth * STATUS_RECORD_SIZE + depth * geometry.frame_bytes)
@@ -279,53 +320,72 @@ def run_tearing_stress(duration_s: float, seed: int = 0):
                           frame_stride=geometry.frame_bytes, depth=depth,
                           geometry=geometry, fmt=PixelFormat.R8G8B8A8)
     stop = threading.Event()
-    failures = []
-    checked = [0]
-
-    def produce():
-        rng = random.Random(seed)
-        while not stop.is_set():
-            h = producer.acquire_frame()
-            if h is None:
-                time.sleep(rng.random() * 1e-4)
-                continue
-            payload = rng.randbytes(geometry_px - 4)
-            raw = h.surface._raw
-            raw[4:] = memoryview(payload)
-            crc = zlib.crc32(payload)
-            raw[0:4] = memoryview(crc.to_bytes(4, "little"))
-            producer.submit_frame(h)
-            if rng.random() < 0.3:
-                time.sleep(rng.random() * 2e-4)
-
-    def consume():
-        rng = random.Random(seed + 1)
-        while not stop.is_set():
-            t = consumer.take_for_display()
-            if t is None:
-                time.sleep(rng.random() * 1e-4)
-                continue
-            raw = t.surface._raw
-            expected = int.from_bytes(bytes(raw[0:4]), "little")
-            actual = zlib.crc32(bytes(raw[4:]))
-            checked[0] += 1
-            if actual != expected:
-                failures.append((t.sequence, expected, actual))
-            if rng.random() < 0.3:
-                time.sleep(rng.random() * 2e-4)
-
-    threads = [threading.Thread(target=produce), threading.Thread(target=consume)]
+    result = []
+    threads = [
+        threading.Thread(target=_produce, args=(producer, stop, seed)),
+        threading.Thread(target=lambda: result.append(
+            _consume(consumer, lambda: not stop.is_set(), seed)))]
     for t in threads:
         t.start()
     time.sleep(duration_s)
     stop.set()
     for t in threads:
         t.join()
-    return checked[0], failures
+    return result[0]
+
+
+def _produce_forked(name: str, stop, seed: int) -> None:
+    """The forked producer maps the region by name, since no mapping
+    survives a fork."""
+    mapping = regions.open_region(name)
+    producer, _ = shm.client_attach(mapping.buf)
+    _produce(producer, stop, seed)
+
+
+def run_forked_tearing_stress(duration_s: float, seed: int = 0):
+    """`run_tearing_stress` across processes: the producer runs in a
+    forked child and the consumer in this process, over one shared
+    region, and the consumer reads pixels through the region's read-only
+    mapping. Returns (frames_checked, failures)."""
+    config = shm.RegionConfig(
+        geometry=SurfaceGeometry(32, 32, 128), formats=(PixelFormat.R8G8B8A8,),
+        framerate=1000, timeout_us=10_000_000, queue_depth=3, frame_padding=64)
+    name = regions.region_name(f"test-tearing-{os.getpid()}", 0)
+    region = regions.create_region(name, shm.required_region_size(config))
+    ctx = multiprocessing.get_context("fork")
+    stop = ctx.Event()
+    child = None
+    try:
+        shm.encode_header(config, region.buf)
+        shm.publish(region.buf)
+        consumer = shm.queue_view(region.buf, shm.admit_region(region.buf),
+                                  pixel_buf=region.readonly_buf)
+        child = ctx.Process(target=_produce_forked, args=(name, stop, seed))
+        child.start()
+        end = time.monotonic() + duration_s
+        result = _consume(consumer, lambda: time.monotonic() < end, seed)
+        stop.set()
+        child.join(10)
+        assert child.exitcode == 0, child.exitcode
+    finally:
+        if child is not None and child.is_alive():
+            child.terminate()
+            child.join()
+        region.close()
+        regions.unlink_region(name)
+    return result
 
 
 class TestTearing:
     def test_short_stress_no_torn_frames(self):
         checked, failures = run_tearing_stress(2.0)
+        assert checked > 0
+        assert failures == []
+
+    def test_forked_producer_no_torn_frames(self):
+        # The frame protocol between two processes: pixels, then the
+        # sequence, then the status are stored in that order, and the
+        # consumer never reads a slot the producer can still write.
+        checked, failures = run_forked_tearing_stress(3.0, seed=7)
         assert checked > 0
         assert failures == []

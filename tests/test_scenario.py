@@ -623,7 +623,7 @@ class TestWallEngine:
         compose_once = CompositorServer.compose_once
         problems, outcomes, ticks = [], set(), [0]
 
-        def checked_compose(server, now_us=None):
+        def checked_compose(server, now_us):
             report = compose_once(server, now_us)
             ticks[0] += 1
             if ticks[0] % 7 == 0:
