@@ -4,13 +4,15 @@ Absolute fps depends entirely on the machine, so only the ratios
 between configurations are meaningful:
 
   a. direct      - render straight into a full-display surface, present.
-  b. framebuffer - the identical loop through the frame-queue API.
+  b. framebuffer - the identical frame through the frame-queue API.
   c. compositor  - all clients at once, in their own processes, composed
                    onto the full display (contended figures).
   d. capability  - each client alone under the compositor at its own
                    placement.
 
 All phases use the same widget renderer and the same sink kind.
+Phases a and b run in one loop, a frame of each in turn, so host drift
+hits both alike.
 
 Phase d exists because the reference deployment gives every partition
 its own CPU, so a client's achievable rate under the compositor is a
@@ -25,9 +27,10 @@ from __future__ import annotations
 
 import json
 import platform
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import scenario, shm, sinks, widgets
 from .client import open_direct_session
@@ -53,10 +56,6 @@ class BenchConfig:
     # free-running clients from stalling on one.
     queue_depth: int = 5
     sink: str = "checksum"           # one of SINKS
-    # Compositor tick rate for the composited phases. None picks
-    # 0.95 x the direct fps measured in the same run, so the output-rate
-    # comparison tests compose overhead rather than an arbitrary cap.
-    compose_rate: Optional[float] = None
 
     def __post_init__(self):
         scenario._require_one_of(SINKS, "bench", "sink", self.sink)
@@ -64,10 +63,6 @@ class BenchConfig:
                           self.client_count, "at least 1")
         scenario._require(scenario._positive(self.duration_s), "bench",
                           "duration", self.duration_s, "positive and finite")
-        scenario._require(self.compose_rate is None
-                          or scenario._positive(self.compose_rate), "bench",
-                          "compose_rate", self.compose_rate,
-                          "positive and finite, or empty")
         scenario._require(self.queue_depth in shm.QUEUE_DEPTHS, "bench",
                           "queue_depth", self.queue_depth,
                           f"in {shm.QUEUE_DEPTHS[0]}..{shm.QUEUE_DEPTHS[-1]}")
@@ -181,49 +176,51 @@ class BenchmarkReport:
         }, indent=2)
 
 
-def _target_geometry(config: BenchConfig) -> SurfaceGeometry:
-    return SurfaceGeometry.for_width(config.target_width, config.target_height,
-                                     config.format)
+def measure_single_process(config: BenchConfig,
+                           duration_s: float) -> Tuple[float, float]:
+    """Phases a and b; returns (direct_fps, framebuffer_fps).
 
-
-def measure_direct(config: BenchConfig, duration_s: float) -> float:
-    """Phase a: plain render-and-present loop on the full display."""
+    Each iteration renders one frame time down both paths, in an order
+    that alternates every iteration (the second path finds the grids
+    warm), and times each path on its own. The first pair in each order
+    is untimed warm-up. Each path gets `duration_s` timed seconds.
+    """
     clock = WallClock()
-    sink = sinks.make_sink(config.sink)
-    surface = Surface.allocate(_target_geometry(config), config.format)
-    frames = 0
-    start = clock.now_us()
-    end = start + int(duration_s * 1e6)
-    while clock.now_us() < end:
-        widgets.render_counters(surface, (clock.now_us() - start) / 1e6,
-                                config.complexity)
-        sink.present(surface, clock.now_us())
-        frames += 1
-    return frames * 1e6 / (clock.now_us() - start)
-
-
-def measure_framebuffer(config: BenchConfig, duration_s: float) -> float:
-    """Phase b: the same loop through the frame-queue session API."""
-    clock = WallClock()
+    geometry = SurfaceGeometry.for_width(config.target_width,
+                                         config.target_height, config.format)
+    surface = Surface.allocate(geometry, config.format)
     sink = sinks.make_sink(config.sink)
     session = open_direct_session(shm.RegionConfig(
-        geometry=_target_geometry(config), formats=(config.format,),
-        framerate=1000, timeout_us=10_000_000, queue_depth=config.queue_depth),
-        sink, clock)
-    frames = 0
-    start = clock.now_us()
-    end = start + int(duration_s * 1e6)
-    while clock.now_us() < end:
-        surface = session.try_begin_frame()
-        if surface is None:
-            session.present_direct()
-            continue
-        widgets.render_counters(surface, (clock.now_us() - start) / 1e6,
+        geometry=geometry, formats=(config.format,), framerate=1000,
+        timeout_us=10_000_000, queue_depth=config.queue_depth),
+        sinks.make_sink(config.sink), clock)
+
+    def direct(t: float) -> None:
+        widgets.render_counters(surface, t, config.complexity)
+        sink.present(surface, clock.now_us())
+
+    def framebuffer(t: float) -> None:
+        # Each frame is presented straight after its submit, so the take
+        # frees every slot but the held one and a begin always finds one.
+        widgets.render_counters(session.try_begin_frame(), t,
                                 config.complexity)
         session.end_frame()
-        if session.present_direct() is not None:
-            frames += 1
-    return frames * 1e6 / (clock.now_us() - start)
+        session.present_direct()
+
+    paths = (direct, framebuffer)
+    timed_ns, frames = [0, 0], [0, 0]
+    start = time.perf_counter_ns()
+    pairs = 0
+    while min(timed_ns) < duration_s * 1e9:
+        t = (time.perf_counter_ns() - start) / 1e9
+        for i in ((0, 1), (1, 0))[pairs % 2]:
+            begin = time.perf_counter_ns()
+            paths[i](t)
+            if pairs >= 2:
+                timed_ns[i] += time.perf_counter_ns() - begin
+                frames[i] += 1
+        pairs += 1
+    return frames[0] * 1e9 / timed_ns[0], frames[1] * 1e9 / timed_ns[1]
 
 
 def client_placements(config: BenchConfig) -> Dict[str, tuple]:
@@ -248,22 +245,19 @@ def measure_composited(config: BenchConfig, duration_s: float, rate: float,
     otherwise every client runs at once. The compositor ticks at `rate`
     and sleeps between ticks so the clients get the CPU in between.
     """
-    placements = client_placements(config)
-    clients = []
-    for name, (x, y, w, h) in placements.items():
-        if only is not None and name != only:
-            continue
-        clients.append(scenario.ClientSpec(
-            name=name, width=w, height=h, x=x, y=y,
-            fps=500.0, queue_depth=config.queue_depth,
-            min_fps=0.0, timeout_s=10.0, widget="counters",
-            complexity=config.complexity, format=config.format))
+    clients = tuple(scenario.ClientSpec(
+        name=name, width=w, height=h, x=x, y=y,
+        fps=500.0, queue_depth=config.queue_depth,
+        min_fps=0.0, timeout_s=10.0, widget="counters",
+        complexity=config.complexity, format=config.format)
+        for name, (x, y, w, h) in client_placements(config).items()
+        if only in (None, name))
     cfg = scenario.ScenarioConfig(
         target=scenario.TargetSpec(config.target_width, config.target_height,
                                    config.format, rate=rate),
         run=scenario.RunSpec(duration_s=duration_s, clock="wall",
                              sink=config.sink),
-        clients=tuple(clients),
+        clients=clients,
     )
     report = scenario.run_scenario(cfg)
     composited_fps = report.server_frames / duration_s
@@ -278,25 +272,13 @@ def run_benchmark(config: Optional[BenchConfig] = None) -> BenchmarkReport:
         machine=f"{platform.platform()} / {platform.processor() or platform.machine()}",
         config=config)
     dur = config.duration_s
-    # Short warmup so numpy code paths and caches are hot before timing.
-    measure_direct(config, min(1.0, dur))
-    # Interleave the single-process phases in short alternating slices:
-    # slow drift in host load then hits both sides equally instead of
-    # skewing whichever phase ran during the bad stretch.
-    slices = 5
-    direct_samples, fb_samples = [], []
-    for _ in range(slices):
-        direct_samples.append(measure_direct(config, dur / slices))
-        fb_samples.append(measure_framebuffer(config, dur / slices))
-    report.direct_fps = sum(direct_samples) / slices
-    report.framebuffer_fps = sum(fb_samples) / slices
+    report.direct_fps, report.framebuffer_fps = measure_single_process(
+        config, dur)
     # Tick just under the measured direct rate: the output-rate
     # comparison then reflects compose overhead, not an arbitrary cap.
-    rate = config.compose_rate or max(1.0, 0.95 * report.direct_fps)
-    report.compose_rate = rate
-    composited, client_fps = measure_composited(config, dur, rate)
-    report.composited_fps = composited
-    report.client_fps = client_fps
+    report.compose_rate = rate = max(1.0, 0.95 * report.direct_fps)
+    report.composited_fps, report.client_fps = measure_composited(
+        config, dur, rate)
     report.client_placements = client_placements(config)
     for name in sorted(report.client_placements):
         _, solo = measure_composited(config, dur, rate, only=name)

@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 when no invariant violations, mismatches or malformed
 regions were found, 1 when some were, 2 for a bad command line, a
-scenario or suite file that cannot be read or does not load, or a
-region dump or frame index that cannot be read (one `fbcomp: error:`
-line on stderr, as argparse reports a bad command line).
+scenario or suite file that cannot be read or does not load, a sink_dir
+that cannot be made, or a region dump or frame index that cannot be
+read (one `fbcomp: error:` line on stderr, as argparse does).
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ def _cmd_run(args) -> int:
         # One replace, so the run spec is checked with every option applied.
         config = replace(config, run=replace(
             config.run, **{k: v for k, v in given.items() if v is not None}))
+        # An images sink makes its directory; one it cannot make is bad input.
+        if config.run.sink == "images":
+            sinks.make_sink("images", config.run.sink_dir)
     except (OSError, ValueError) as exc:
         return _config_error(args.scenario, exc)
 

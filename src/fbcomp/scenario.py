@@ -253,8 +253,9 @@ class TargetSpec:
         _require(self.width >= 1, "target", "width", self.width, "at least 1")
         _require(self.height >= 1, "target", "height", self.height,
                  "at least 1")
-        _require(_positive(self.rate), "target", "rate", self.rate,
-                 "positive and finite")
+        # The compose period is whole microseconds, at least one.
+        _require(_positive(self.rate) and self.rate <= 1e6, "target", "rate",
+                 self.rate, "positive and at most 1000000")
         _require(0 <= self.background <= 0xFFFFFFFF, "target", "background",
                  self.background, "a u32 pixel, in 0..0xffffffff")
 
@@ -451,13 +452,19 @@ class _Partition:
         self.clock = clock
         self.start_us = start_us
         self.faults = _FaultState(spec)
-        self.out = {"submitted": 0, "skipped": 0, "exit_status": "ok"}
+        self.skipped, self.exit_status = 0, "ok"
+
+    @property
+    def out(self) -> dict:
+        """The tallies the report reads."""
+        return {"submitted": self.session.frames_submitted,
+                "skipped": self.skipped, "exit_status": self.exit_status}
 
     def step(self, t: int) -> Optional[int]:
         now = self.clock.now_us()  # equals t under SimClock
         t_s = (now - self.start_us) / 1e6
         if self.faults.crashed(t_s):
-            self.out["exit_status"] = "crashed"
+            self.exit_status = "crashed"
             return None
         if self.faults.once_due("garbage-header", t_s):
             _scribble_header(self.region)
@@ -469,17 +476,16 @@ class _Partition:
         try:
             surface = self.session.try_begin_frame()
             if surface is None:
-                self.out["skipped"] += 1
+                self.skipped += 1
                 return due
             if self.spec.widget == "counters":
                 widgets.render_counters(surface, t_s, self.spec.complexity)
             else:
-                widgets.render_pattern(surface, self.out["submitted"])
+                widgets.render_pattern(surface, self.session.frames_submitted)
             self.session.end_frame()
         except FramebufferError:
-            self.out["exit_status"] = "lost"
+            self.exit_status = "lost"
             return None
-        self.out["submitted"] += 1
         return due
 
 
@@ -583,6 +589,9 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
 
 # -- multi-process engine --------------------------------------------------
 
+_CRASH_EXIT = 17   # a client process's exit code for a simulated crash
+
+
 def _client_main(spec: ClientSpec, duration_s: float, region_name: str,
                  tallies) -> None:
     """One partition's process: attach to its own region, run its frame
@@ -595,8 +604,8 @@ def _client_main(spec: ClientSpec, duration_s: float, region_name: str,
     partition = _Partition(spec, session, region.buf, clock, start)
     _run_loop(clock, start + int(duration_s * 1e6),
               [(start, 2, spec.name, partition.step)])
-    if partition.out["exit_status"] == "crashed":
-        os._exit(17)  # simulated hard crash: no tallies
+    if partition.exit_status == "crashed":
+        os._exit(_CRASH_EXIT)  # simulated hard crash: no tallies
     tallies.send(partition.out)
 
 
@@ -632,12 +641,18 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
         _run_loop(clock, start + int(config.run.duration_s * 1e6),
                   server.steps(start))
         outs = {}
-        for spec, receive in zip(config.clients, pipes):
+        for spec, receive, proc in zip(config.clients, pipes, procs):
             try:
                 if receive.poll(5):
                     outs[spec.name] = receive.recv()
             except EOFError:
                 pass  # the client exited without sending its tallies
+            proc.join(5)
+            # Past its end or its crash fault, an exit is a client bug; a
+            # client still running reads None.
+            if proc.exitcode not in (0, _CRASH_EXIT):
+                server.violations.append(
+                    f"client {spec.name}: process exit code {proc.exitcode}")
         return _build_report(config, server, outs)
     finally:
         for p in procs:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from fbcomp import bench, sinks
 from fbcomp.bench import BenchConfig, BenchmarkReport, load_bench_config
+from fbcomp.pixel import PixelFormat
 
 
 class TestLoadBenchConfig:
@@ -23,16 +25,13 @@ class TestLoadBenchConfig:
         assert config == BenchConfig(duration_s=2.5, client_count=3,
                                      client_width=512)
 
-    def test_compose_rate_stays_optional(self, tmp_path):
-        assert self.load(tmp_path, "[bench]\n").compose_rate is None
-        assert self.load(tmp_path, "[bench]\ncompose_rate =\n").compose_rate is None
-        assert self.load(tmp_path, "[bench]\ncompose_rate = 30\n").compose_rate == 30.0
-
     @pytest.mark.parametrize("text, named", [
         ("[bench]\nduraton = 2\n", "'duraton'"),
         ("[bench]\nphase_duration = 2\n", "'phase_duration'"),
         ("[bench]\n[target]\nwidth = 10\n", r"\[target\]"),
-    ], ids=["key", "old-key", "section"])
+        # The composited phases always tick at 0.95 x the measured direct fps.
+        ("[bench]\ncompose_rate = 30\n", "'compose_rate'"),
+    ], ids=["key", "old-key", "section", "compose-rate"])
     def test_unknown_key_or_section_rejected(self, tmp_path, text, named):
         with pytest.raises(ValueError, match=named):
             self.load(tmp_path, text)
@@ -41,8 +40,6 @@ class TestLoadBenchConfig:
         ("[bench]\nclient_count = 0\n", "client_count"),
         ("[bench]\nduration = 0\n", "duration"),
         ("[bench]\nduration = inf\n", "duration"),
-        ("[bench]\ncompose_rate = 0\n", "compose_rate"),
-        ("[bench]\ncompose_rate = -30\n", "compose_rate"),
         ("[bench]\nqueue_depth = 0\n", "queue_depth"),
         ("[bench]\nqueue_depth = 1\n", "queue_depth must be in 2..8, got 1"),
         ("[bench]\nqueue_depth = 9\n", "queue_depth"),
@@ -55,9 +52,8 @@ class TestLoadBenchConfig:
         ("[bench]\ncomplexity = 0\n", "complexity"),
         ("[bench]\nsink = bogus\n", "sink must be one of null, checksum"),
         ("[bench]\nsink = images\n", "sink must be one of null, checksum"),
-    ], ids=["client-count-0", "duration-0", "duration-inf", "compose-rate-0",
-            "compose-rate-negative", "queue-depth-0", "queue-depth-1",
-            "queue-depth-9",
+    ], ids=["client-count-0", "duration-0", "duration-inf", "queue-depth-0",
+            "queue-depth-1", "queue-depth-9",
             "client-width-0", "client-height-below-min-side",
             "target-width-negative", "target-height-0",
             "clients-wider-than-target", "client-taller-than-target",
@@ -71,12 +67,17 @@ class TestLoadBenchConfig:
         assert json.loads(report.to_json())["config"]["phase_duration_s"] == 2.0
 
 
+SMALL = BenchConfig(target_width=128, target_height=128, client_width=64,
+                    client_height=64, client_count=1, duration_s=0.2)
+
+
 class TestFramebufferPhase:
     @pytest.mark.parametrize("depth", [2, 8])
     def test_presents_every_submitted_frame_once_in_order(self, monkeypatch,
                                                           depth):
-        # Phase b presents straight after each submit, so the newest-frame
-        # take finds exactly that frame: none is skipped or repeated.
+        # The framebuffer path presents straight after each submit, so the
+        # newest-frame take finds exactly that frame: none is skipped or
+        # repeated.
         sessions, after_submit = [], []
         open_session = bench.open_direct_session
 
@@ -102,13 +103,37 @@ class TestFramebufferPhase:
             return session
 
         monkeypatch.setattr(bench, "open_direct_session", kept_session)
-        config = BenchConfig(target_width=128, target_height=128,
-                             client_width=64, client_height=64, client_count=1,
-                             queue_depth=depth, duration_s=0.2)
-        assert bench.measure_framebuffer(config, 0.2) > 0
+        config = replace(SMALL, queue_depth=depth)
+        direct_fps, framebuffer_fps = bench.measure_single_process(config, 0.2)
+        assert direct_fps > 0 and framebuffer_fps > 0
         (session,) = sessions
         assert session.frames_submitted > 1
         assert after_submit == list(range(1, session.frames_submitted + 1))
+
+    def test_both_paths_present_the_same_frame_in_each_pair(self,
+                                                            monkeypatch):
+        # The checksum is over normalized R8G8B8A8 bytes, so the format is
+        # recorded beside it.
+        class Recorder:
+            def __init__(self):
+                self.frames = []
+
+            def present(self, surface, now_us):
+                self.frames.append((surface.format,
+                                    sinks.frame_checksum(surface)))
+
+        made = []
+        monkeypatch.setattr(sinks, "make_sink", lambda kind: (
+            made.append(Recorder()) or made[-1]))
+        config = replace(SMALL, format=PixelFormat.B8G8R8A8)
+        bench.measure_single_process(config, 0.2)
+        one, other = made   # the direct sink and the session's
+        assert len(one.frames) > 4
+        assert one.frames == other.frames
+        assert {fmt for fmt, _ in one.frames} == {PixelFormat.B8G8R8A8}
+        # Each pair renders a later frame time than the one before.
+        checksums = [crc for _, crc in one.frames]
+        assert all(a != b for a, b in zip(checksums, checksums[1:]))
 
 
 class TestReport:

@@ -173,6 +173,17 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert "[run] sink_dir must be set" in line
 
+    def test_sink_dir_that_cannot_be_made_is_exit_two(self, scenario_file,
+                                                      tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", str(scenario_file), "--sink", "images",
+                     "--sink-dir", str(blocker / "frames")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"fbcomp: error: {scenario_file}: ")
+
     def test_error_after_loading_still_raises(self, scenario_file,
                                               monkeypatch):
         # Only loading is reported as a bad file; a ValueError raised by the

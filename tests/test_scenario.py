@@ -56,8 +56,10 @@ def _min_side(widget):
 
 
 SECTIONS = {
+    # A compose period is at least one whole microsecond.
     TargetSpec: _every_field(TargetSpec, width=_sizes, height=_sizes,
-                             rate=_rates,
+                             rate=st.floats(min_value=0.0, exclude_min=True,
+                                            max_value=1e6),
                              background=st.integers(0, 2**32 - 1)),
     # The images sink needs a directory.
     RunSpec: st.sampled_from(SINKS).flatmap(lambda sink: _every_field(
@@ -90,8 +92,7 @@ SECTIONS = {
             target_height=st.integers(min_value=sizes[2]),
             # One slot is always held for display, so a bench queue
             # needs at least two.
-            complexity=_sizes, queue_depth=st.integers(2, 8),
-            compose_rate=st.none() | _rates)),
+            complexity=_sizes, queue_depth=st.integers(2, 8))),
 }
 
 
@@ -216,6 +217,8 @@ class TestConfigFormat:
         ("[target]\nrate = -30\n", r"\[target\] rate"),
         ("[target]\nrate = inf\n", r"\[target\] rate"),
         ("[target]\nrate = nan\n", r"\[target\] rate"),
+        ("[target]\nrate = 2000000\n",
+         r"\[target\] rate must be positive and at most 1000000"),
         ("[client:a]\nfps = 0\n", r"\[client:a\] fps"),
         ("[client:a]\nfps = -1\n", r"\[client:a\] fps"),
         ("[client:a]\nfps = inf\n", r"\[client:a\] fps"),
@@ -263,7 +266,8 @@ class TestConfigFormat:
         ("[run]\nsink = images\n", r"\[run\] sink_dir must be set"),
         ("[target]\nbackground = -1\n", r"\[target\] background"),
         ("[target]\nbackground = 0x1ffffffff\n", r"\[target\] background"),
-    ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan", "fps-0",
+    ], ids=["rate-0", "rate-negative", "rate-inf", "rate-nan",
+            "rate-above-1e6", "fps-0",
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
             "complexity-negative", "slow-to-fps-0", "queue-depth-0",
@@ -639,6 +643,19 @@ class TestWallEngine:
         assert {("native", "new"), ("converted", "new"),
                 ("converted", "held"), ("garbage", "disconnected"),
                 ("stall", "disconnected")} <= outcomes
+
+    def test_bug_in_a_client_process_is_a_violation(self, monkeypatch):
+        # A client process that raises anything but a FramebufferError
+        # exits with code 1, which no fault script explains.
+        def render_bug(surface, n):
+            raise RuntimeError("render bug")
+
+        monkeypatch.setattr(widgets, "render_pattern", render_bug)
+        config = two_client_config(duration_s=0.3, clock="wall", sink="null")
+        report = run_scenario(config)
+        assert not report.ok
+        assert report.violations == [
+            f"client {name}: process exit code 1" for name in ("alpha", "beta")]
 
     def test_server_bug_propagates_and_cleans_up(self, monkeypatch):
         created = []
