@@ -18,7 +18,8 @@ read every record in one `unpack_from` and compare plain ints, submit
 and release read the one status word they check, and each slot's
 `Surface` is built on first use and cached with the view. A status word
 outside FREE..DRAWING, checked where it is read, or a slot not in the
-state an operation needs raises ProtocolViolation naming the slot.
+state an operation needs raises ProtocolViolation naming the slot, and
+for the latter also every slot's record and the held frame.
 """
 
 from __future__ import annotations
@@ -118,11 +119,19 @@ class FrameQueue:
     def _expect(self, index: int, state: int) -> None:
         word = self._status_word(index)
         if word != state:
-            raise ProtocolViolation(f"slot {index} is {FrameState(word).name}, "
-                                    f"not {FrameState(state).name}")
+            rec = self._read()  # the evidence, read only when raising
+            slots = ", ".join(f"{i}={FrameState(s).name if s <= _DRAWING else s}"
+                              f"#{rec[2 * i + 1]}" for i, s in enumerate(rec[::2]))
+            held = self.held and f"slot {self.held.index}#{self.held.sequence}"
+            raise ProtocolViolation(
+                f"slot {index} is {FrameState(word).name}, not "
+                f"{FrameState(state).name}; slots [{slots}], held {held}")
 
     def _set_status(self, index: int, state: int) -> None:
-        _STATUS.pack_into(self._buf, self._rec(index), state)
+        # One byte store: struct.pack_into zeroes the word before it stores,
+        # so another process could read the slot FREE midway. Every state
+        # fits the low byte, and a word read valid has its other bytes zero.
+        self._buf[self._rec(index)] = state
 
     def status(self, index: int) -> FrameState:
         return FrameState(self._status_word(index))

@@ -2,14 +2,14 @@
 
 Regions live in /dev/shm under the name pattern `<session>.<index>.fb`,
 where `index` is the client's place in the scenario (prefixed to avoid
-collisions with unrelated objects). The launcher creates and publishes
-every region before any partition starts. Every mapping is left out of
-a forked child, so a partition forked by the server maps no region but
-the one it opens itself. The server keeps
-two mappings of the same file: a read-write one for the control area
-(header, status records, private area) and a read-only one used for all
-pixel reads, so a stray server-side pixel write faults instead of
-corrupting a client's frame.
+collisions with unrelated objects); a name that is taken cannot be
+created again. The launcher creates and publishes every region before
+any partition starts. Every mapping is left out of a forked child, so a
+partition forked by the server maps no region but the one it opens
+itself. The server keeps two mappings of the same file: a read-write
+one for the control area (header, status records, private area) and a
+read-only one used for all pixel reads, so a stray server-side pixel
+write faults instead of corrupting a client's frame.
 """
 
 from __future__ import annotations
@@ -32,22 +32,21 @@ def _path(name: str) -> str:
 
 class SharedRegion:
     """One mapped shared-memory object: created at `size` bytes when a
-    size is given, otherwise opened at the size it has."""
+    size is given, FileExistsError if the name is taken, otherwise opened
+    at the size it has."""
 
     def __init__(self, name: str, size: Optional[int] = None):
         self.name = name
         path = _path(name)
         if size is not None:
-            # Size under a scratch name, then rename: anyone who can see
-            # the final path sees a fully sized file.
-            tmp = f"{path}.tmp{os.getpid()}"
-            fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+            # O_EXCL: no region is replaced under a party that maps it. No
+            # one opens a region before create_region returns it sized.
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
             try:
                 os.ftruncate(fd, size)
-                os.rename(tmp, path)
             except BaseException:
                 os.close(fd)
-                os.unlink(tmp)
+                os.unlink(path)
                 raise
         else:
             fd = os.open(path, os.O_RDWR)

@@ -8,11 +8,14 @@ with optional fault scripts, and runs in one of two engines:
 - "wall": the calling process is the server, plus one forked process
   per client, shared-memory regions in /dev/shm, wall clock. Every
   region is laid out and published before any client process starts.
-  Used for process-isolation checks and benchmarks.
+  Used for process-isolation checks and benchmarks; x86_64 only.
 
 One event loop (`_run_loop`) drives both: the sim engine runs the server
 and every partition step in one process, while in the wall engine the
-caller runs the server steps and each client process its own.
+caller runs the server steps and each client process its own. A
+partition's only channel to the server is its region: the report reads
+each client's counts there, and its exit status from the partition (sim)
+or from its process exit code (wall).
 
 The text format is INI: a [target] section, a [run] section, and one
 [client:<name>] section per client. Fault scripts are comma-separated
@@ -28,7 +31,8 @@ import io
 import json
 import math
 import multiprocessing
-import os
+import platform
+import sys
 import uuid
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -36,7 +40,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Tuple, Union,
                     get_args, get_origin, get_type_hints)
 
 from . import regions, shm, sinks, widgets
-from .client import ClientSession, connect_session
+from .client import connect_session
 from .clock import Clock, SimClock, WallClock
 from .compositor import CompositionTarget, CompositorServer
 from .errors import FramebufferError
@@ -274,6 +278,10 @@ class RunSpec:
 
     def __post_init__(self):
         _require_one_of(CLOCKS, "run", "clock", self.clock)
+        # README "Store order": the frame protocol needs x86-TSO.
+        _require(self.clock == "sim" or platform.machine() == "x86_64", "run",
+                 "clock", self.clock, f"sim on this {platform.machine()} "
+                 "host, since the wall engine needs x86-TSO store order")
         _require_one_of(SINKS, "run", "sink", self.sink)
         _require(self.sink != "images" or bool(self.sink_dir), "run",
                  "sink_dir", self.sink_dir, "set for the images sink")
@@ -442,23 +450,16 @@ def _run_loop(clock: Clock, end_us: int,
 
 
 class _Partition:
-    """One client's frame step: fault script, rendering, exit status, tallies."""
+    """One client's frame step: fault script, rendering and exit status."""
 
-    def __init__(self, spec: ClientSpec, session: ClientSession, region,
-                 clock: Clock, start_us: int):
+    def __init__(self, spec: ClientSpec, region, clock: Clock):
         self.spec = spec
-        self.session = session
+        self.session = connect_session(region, clock)
         self.region = region
         self.clock = clock
-        self.start_us = start_us
+        self.start_us = clock.now_us()
         self.faults = _FaultState(spec)
-        self.skipped, self.exit_status = 0, "ok"
-
-    @property
-    def out(self) -> dict:
-        """The tallies the report reads."""
-        return {"submitted": self.session.frames_submitted,
-                "skipped": self.skipped, "exit_status": self.exit_status}
+        self.exit_status = "ok"
 
     def step(self, t: int) -> Optional[int]:
         now = self.clock.now_us()  # equals t under SimClock
@@ -476,7 +477,6 @@ class _Partition:
         try:
             surface = self.session.try_begin_frame()
             if surface is None:
-                self.skipped += 1
                 return due
             if self.spec.widget == "counters":
                 widgets.render_counters(surface, t_s, self.spec.complexity)
@@ -538,10 +538,11 @@ class _Server:
 
 
 def _build_report(config: ScenarioConfig, server: _Server,
-                  clients: Dict[str, dict]) -> ScenarioReport:
-    """Assemble the report from the server's tallies and each client's;
-    a client with no tallies died without reporting. Clients register in
-    config order and the server's table only grows, so the table pairs
+                  exit_statuses: List[str]) -> ScenarioReport:
+    """Assemble the report from the server's tallies, each client's exit
+    status and the counts its region shows: the newest sequence counts its
+    submits, and the heartbeat counts them plus each begin that found no
+    FREE slot. The server's table only grows, in config order, so it pairs
     with `config.clients` in order."""
     sink = server.sink
     report = ScenarioReport(
@@ -553,19 +554,20 @@ def _build_report(config: ScenarioConfig, server: _Server,
                     if isinstance(sink, sinks.ImageSequenceSink) else None),
         checksums=(sink.checksums()
                    if isinstance(sink, sinks.ChecksumSink) else []))
-    for spec, desc in zip(config.clients, server.server.clients.values()):
-        res = ClientResult(spec.name, presented=server.presented[desc.id])
-        res.disconnect = next(((e.t_us - server.start_us, e.reason)
-                               for e in server.server.events
-                               if e.client_id == desc.id), None)
-        out = clients.get(spec.name)
-        if out is None:
-            res.exit_status = "crashed"
-        else:
-            res.submitted = out["submitted"]
-            res.skipped = out["skipped"]
-            res.exit_status = out["exit_status"]
-        report.clients[spec.name] = res
+    for spec, desc, status in zip(config.clients,
+                                  server.server.clients.values(),
+                                  exit_statuses):
+        submitted = max(desc.queue.sequence(i)
+                        for i in range(desc.queue.depth))
+        heartbeat = shm.read_heartbeat(desc.region, desc.header)
+        report.clients[spec.name] = ClientResult(
+            spec.name, submitted=submitted,
+            presented=server.presented[desc.id],
+            skipped=max(0, heartbeat - submitted),
+            disconnect=next(((e.t_us - server.start_us, e.reason)
+                             for e in server.server.events
+                             if e.client_id == desc.id), None),
+            exit_status=status)
     return report
 
 
@@ -578,35 +580,31 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
     for spec in config.clients:
         buf, _ = shm.allocate_region(spec.region_config())
         shm.publish(buf)
-        session = connect_session(buf, clock)
         server.register(spec, buf)
-        partitions.append(_Partition(spec, session, buf, clock, 0))
+        partitions.append(_Partition(spec, buf, clock))
     steps = server.steps(0) + [(0, 2, p.spec.name, p.step) for p in partitions]
     _run_loop(clock, int(config.run.duration_s * 1e6), steps)
-    return _build_report(config, server,
-                         {p.spec.name: p.out for p in partitions})
+    return _build_report(config, server, [p.exit_status for p in partitions])
 
 
 # -- multi-process engine --------------------------------------------------
 
-_CRASH_EXIT = 17   # a client process's exit code for a simulated crash
+# A client process's exit code per exit status; any other is a client bug.
+_EXIT_CODES = {"ok": 0, "crashed": 17, "lost": 18}
 
 
-def _client_main(spec: ClientSpec, duration_s: float, region_name: str,
-                 tallies) -> None:
+def _client_main(spec: ClientSpec, duration_s: float,
+                 region_name: str) -> None:
     """One partition's process: attach to its own region, run its frame
-    step, send its tallies down the `tallies` pipe. A forked child gets
+    step and exit with the code of its exit status. A forked child gets
     `spec` as the object itself, without pickling."""
     clock = WallClock()
     region = regions.open_region(region_name)
-    session = connect_session(region.buf, clock)
-    start = clock.now_us()
-    partition = _Partition(spec, session, region.buf, clock, start)
+    partition = _Partition(spec, region.buf, clock)
+    start = partition.start_us
     _run_loop(clock, start + int(duration_s * 1e6),
               [(start, 2, spec.name, partition.step)])
-    if partition.exit_status == "crashed":
-        os._exit(_CRASH_EXIT)  # simulated hard crash: no tallies
-    tallies.send(partition.out)
+    sys.exit(_EXIT_CODES[partition.exit_status])
 
 
 def _run_wall(config: ScenarioConfig) -> ScenarioReport:
@@ -619,7 +617,7 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
     ctx = multiprocessing.get_context("fork")
     clock = WallClock()
     server = _Server(config, clock)
-    mapped, procs, pipes = [], [], []
+    mapped, procs = [], []
     try:
         for spec, name in zip(config.clients, names):
             rc = spec.region_config()
@@ -630,37 +628,26 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
             server.register(spec, mapped[-1].buf,
                             pixel_buf=mapped[-1].readonly_buf)
         for spec, name in zip(config.clients, names):
-            receive, send = ctx.Pipe(duplex=False)
-            pipes.append(receive)
             procs.append(ctx.Process(
                 target=_client_main,
-                args=(spec, config.run.duration_s, name, send)))
+                args=(spec, config.run.duration_s, name)))
             procs[-1].start()
-            send.close()
         start = clock.now_us()
         _run_loop(clock, start + int(config.run.duration_s * 1e6),
                   server.steps(start))
-        outs = {}
-        for spec, receive, proc in zip(config.clients, pipes, procs):
-            try:
-                if receive.poll(5):
-                    outs[spec.name] = receive.recv()
-            except EOFError:
-                pass  # the client exited without sending its tallies
-            proc.join(5)
-            # Past its end or its crash fault, an exit is a client bug; a
-            # client still running reads None.
-            if proc.exitcode not in (0, _CRASH_EXIT):
+        statuses = {code: status for status, code in _EXIT_CODES.items()}
+        for spec, proc in zip(config.clients, procs):
+            proc.join(5)  # a client still running reads None
+            if proc.exitcode not in statuses:
                 server.violations.append(
                     f"client {spec.name}: process exit code {proc.exitcode}")
-        return _build_report(config, server, outs)
+        return _build_report(config, server, [
+            statuses.get(p.exitcode, "crashed") for p in procs])
     finally:
         for p in procs:
             if p.is_alive():
                 p.terminate()
             p.join()
-        for conn in pipes:
-            conn.close()
         for region in mapped:
             region.close()
         for name in names:

@@ -1,4 +1,5 @@
 import json
+import platform
 
 import pytest
 
@@ -172,6 +173,15 @@ class TestConfigErrors:
         assert main(["run", str(scenario_file), "--sink", "images"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert "[run] sink_dir must be set" in line
+
+    def test_wall_clock_off_x86_64_is_exit_two(self, scenario_file,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+        assert main(["run", str(scenario_file), "--clock", "wall"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"fbcomp: error: {scenario_file}: [run] clock")
 
     def test_sink_dir_that_cannot_be_made_is_exit_two(self, scenario_file,
                                                       tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 import struct
+import uuid
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ class TestCompose:
             geometry=SurfaceGeometry(64, 64, compute_pitch(64, PixelFormat.R8G8B8A8)),
             formats=(PixelFormat.R8G8B8A8,), framerate=30,
             timeout_us=TIMEOUT_US, queue_depth=2, frame_padding=64)
-        name = regions.region_name("test-cache", "x")
+        name = regions.region_name(f"test-cache-{uuid.uuid4().hex[:12]}", "x")
         region = regions.create_region(name, shm.required_region_size(config))
         mapping = None
         try:

@@ -1,9 +1,10 @@
+import mmap
 import multiprocessing
-import os
 import random
 import struct
 import threading
 import time
+import uuid
 import zlib
 
 import pytest
@@ -160,6 +161,22 @@ class TestRecords:
             with pytest.raises(ProtocolViolation,
                                match="slot 2 has invalid status 4"):
                 op(stray)
+
+    def test_violation_shows_every_record_and_the_held_frame(self):
+        buf = bytearray(3 * STATUS_RECORD_SIZE + 3 * 4)
+        q = make_queue(3, buf)
+        for _ in range(2):
+            q.submit_frame(q.acquire_frame())
+        held = q.take_for_display()
+        assert (held.index, held.sequence) == (1, 2)
+        # A hostile producer forges the held slot FREE.
+        rec = held.index * STATUS_RECORD_SIZE
+        buf[rec:rec + 4] = int(FrameState.FREE).to_bytes(4, "little")
+        with pytest.raises(ProtocolViolation) as exc:
+            q.release_frame(held)
+        assert str(exc.value) == (
+            "slot 1 is FREE, not DRAWING; "
+            "slots [0=FREE#1, 1=FREE#2, 2=FREE#0], held slot 1#2")
 
     def test_reattached_view_continues_sequences(self):
         buf = bytearray(2 * STATUS_RECORD_SIZE + 2 * 4)
@@ -350,7 +367,7 @@ def run_forked_tearing_stress(duration_s: float, seed: int = 0):
     config = shm.RegionConfig(
         geometry=SurfaceGeometry(32, 32, 128), formats=(PixelFormat.R8G8B8A8,),
         framerate=1000, timeout_us=10_000_000, queue_depth=3, frame_padding=64)
-    name = regions.region_name(f"test-tearing-{os.getpid()}", 0)
+    name = regions.region_name(f"test-tearing-{uuid.uuid4().hex[:12]}", 0)
     region = regions.create_region(name, shm.required_region_size(config))
     ctx = multiprocessing.get_context("fork")
     stop = ctx.Event()
@@ -376,7 +393,34 @@ def run_forked_tearing_stress(duration_s: float, seed: int = 0):
     return result
 
 
+def _store_ready_then_drawing(buf, end: float) -> None:
+    q = make_queue(1, buf)
+    while time.monotonic() < end:
+        q._set_status(0, FrameState.READY)
+        q._set_status(0, FrameState.DRAWING)
+
+
 class TestTearing:
+    def test_status_store_never_reads_free_midway(self):
+        # A take stores DRAWING over READY. If another process could read
+        # the slot FREE midway, the producer there could acquire the frame
+        # the consumer is about to display.
+        buf = mmap.mmap(-1, STATUS_RECORD_SIZE + 4096)
+        q = make_queue(1, buf)
+        q._set_status(0, FrameState.DRAWING)
+        ctx = multiprocessing.get_context("fork")
+        end = time.monotonic() + 1.0
+        child = ctx.Process(target=_store_ready_then_drawing, args=(buf, end))
+        child.start()
+        seen = set()
+        try:
+            while time.monotonic() < end:
+                seen.add(q.status(0))
+        finally:
+            child.join(10)
+        assert child.exitcode == 0
+        assert seen == {FrameState.READY, FrameState.DRAWING}
+
     def test_short_stress_no_torn_frames(self):
         checked, failures = run_tearing_stress(2.0)
         assert checked > 0

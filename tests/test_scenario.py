@@ -2,8 +2,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import re
 import time
+import uuid
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -328,6 +330,14 @@ class TestConfigFormat:
         with pytest.raises(ValueError, match=r"\[run\] clock"):
             two_client_config(clock="lunar")
 
+    def test_wall_engine_refused_off_x86_64(self, monkeypatch):
+        # The frame protocol relies on x86-TSO store order between processes.
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+        with pytest.raises(ValueError, match=r"\[run\] clock must be sim "
+                                             r"on this aarch64 host"):
+            RunSpec(clock="wall")
+        assert RunSpec(clock="sim").clock == "sim"
+
 
 def _repository_ini_files():
     files = {p.name: p.read_text()
@@ -539,6 +549,8 @@ class TestWallEngine:
         beta = report.clients["beta"]
         assert beta.exit_status == "ok" and beta.disconnect is None
         assert beta.submitted > 0
+        # Its region still shows the frames it submitted before the crash.
+        assert alpha.submitted > 0 and alpha.skipped >= 0
 
     def test_watchdog_polled_between_compose_ticks(self):
         # A 5 Hz compose must not quantize watchdog decisions to 200 ms:
@@ -590,7 +602,7 @@ class TestWallEngine:
         assert report.clients["beta"].exit_status == "ok"
 
     def test_client_name_reaches_no_file_name(self):
-        # Regions are named by index and tallies travel over pipes, so a
+        # Regions are named by index and counts are read from them, so a
         # name with '/' or too long for a file name runs like any other.
         long_name = "x" * 300
         config = parse_scenario(
@@ -701,9 +713,14 @@ class TestWallEngine:
         assert len(set.union(*mapped)) == 3
 
 
+def _unique(prefix: str) -> str:
+    """A region session name no other run can hold, as `_run_wall` picks."""
+    return f"{prefix}-{uuid.uuid4().hex[:12]}"
+
+
 class TestSharedRegions:
     def test_readonly_mapping_rejects_writes(self):
-        name = regions.region_name("test-ro", "x")
+        name = regions.region_name(_unique("test-ro"), "x")
         region = regions.create_region(name, 8192)
         try:
             view = memoryview(region.readonly_buf)
@@ -715,7 +732,7 @@ class TestSharedRegions:
             regions.unlink_region(region.name)
 
     def test_writes_visible_through_readonly_mapping(self):
-        name = regions.region_name("test-vis", "x")
+        name = regions.region_name(_unique("test-vis"), "x")
         region = regions.create_region(name, 8192)
         try:
             region.buf[100:104] = b"\x01\x02\x03\x04"
@@ -724,6 +741,23 @@ class TestSharedRegions:
             region.close()
             regions.unlink_region(region.name)
 
+    def test_taken_name_refused_and_first_region_kept(self):
+        name = regions.region_name(_unique("test-twice"), "x")
+        first = regions.create_region(name, 8192)
+        try:
+            first.buf[100:104] = b"\x01\x02\x03\x04"
+            with pytest.raises(FileExistsError):
+                regions.create_region(name, 4096)
+            opened = regions.open_region(name)
+            try:
+                assert opened.size == 8192
+                assert bytes(opened.buf[100:104]) == b"\x01\x02\x03\x04"
+            finally:
+                opened.close()
+        finally:
+            first.close()
+            regions.unlink_region(name)
+
     def test_open_missing_region(self):
         with pytest.raises(FileNotFoundError):
-            regions.open_region(regions.region_name("test-none", "y"))
+            regions.open_region(regions.region_name(_unique("test-none"), "y"))
