@@ -83,6 +83,15 @@ class BenchConfig:
         scenario._require(self.client_height <= self.target_height, "bench",
                           "client_height", self.client_height,
                           f"at most target_height ({self.target_height})")
+        try:
+            self.run_spec()
+        except ValueError as exc:
+            raise ValueError(f"[bench] phases c and d: {exc}") from exc
+
+    def run_spec(self) -> scenario.RunSpec:
+        """The [run] section of the composited phases, c and d."""
+        return scenario.RunSpec(duration_s=self.duration_s, clock="wall",
+                                sink=self.sink)
 
 
 def load_bench_config(path) -> BenchConfig:
@@ -176,14 +185,13 @@ class BenchmarkReport:
         }, indent=2)
 
 
-def measure_single_process(config: BenchConfig,
-                           duration_s: float) -> Tuple[float, float]:
+def measure_single_process(config: BenchConfig) -> Tuple[float, float]:
     """Phases a and b; returns (direct_fps, framebuffer_fps).
 
     Each iteration renders one frame time down both paths, in an order
     that alternates every iteration (the second path finds the grids
     warm), and times each path on its own. The first pair in each order
-    is untimed warm-up. Each path gets `duration_s` timed seconds.
+    is untimed warm-up. Each path gets `config.duration_s` timed seconds.
     """
     clock = WallClock()
     geometry = SurfaceGeometry.for_width(config.target_width,
@@ -211,7 +219,7 @@ def measure_single_process(config: BenchConfig,
     timed_ns, frames = [0, 0], [0, 0]
     start = time.perf_counter_ns()
     pairs = 0
-    while min(timed_ns) < duration_s * 1e9:
+    while min(timed_ns) < config.duration_s * 1e9:
         t = (time.perf_counter_ns() - start) / 1e9
         for i in ((0, 1), (1, 0))[pairs % 2]:
             begin = time.perf_counter_ns()
@@ -236,7 +244,7 @@ def client_placements(config: BenchConfig) -> Dict[str, tuple]:
     }
 
 
-def measure_composited(config: BenchConfig, duration_s: float, rate: float,
+def measure_composited(config: BenchConfig, rate: float,
                        only: Optional[str] = None):
     """Run clients through the compositor; phases c and d.
 
@@ -255,13 +263,12 @@ def measure_composited(config: BenchConfig, duration_s: float, rate: float,
     cfg = scenario.ScenarioConfig(
         target=scenario.TargetSpec(config.target_width, config.target_height,
                                    config.format, rate=rate),
-        run=scenario.RunSpec(duration_s=duration_s, clock="wall",
-                             sink=config.sink),
+        run=config.run_spec(),
         clients=clients,
     )
     report = scenario.run_scenario(cfg)
-    composited_fps = report.server_frames / duration_s
-    client_fps = {name: res.submitted / duration_s
+    composited_fps = report.server_frames / config.duration_s
+    client_fps = {name: res.submitted / config.duration_s
                   for name, res in report.clients.items()}
     return composited_fps, client_fps
 
@@ -271,16 +278,13 @@ def run_benchmark(config: Optional[BenchConfig] = None) -> BenchmarkReport:
     report = BenchmarkReport(
         machine=f"{platform.platform()} / {platform.processor() or platform.machine()}",
         config=config)
-    dur = config.duration_s
-    report.direct_fps, report.framebuffer_fps = measure_single_process(
-        config, dur)
+    report.direct_fps, report.framebuffer_fps = measure_single_process(config)
     # Tick just under the measured direct rate: the output-rate
     # comparison then reflects compose overhead, not an arbitrary cap.
     report.compose_rate = rate = max(1.0, 0.95 * report.direct_fps)
-    report.composited_fps, report.client_fps = measure_composited(
-        config, dur, rate)
+    report.composited_fps, report.client_fps = measure_composited(config, rate)
     report.client_placements = client_placements(config)
     for name in sorted(report.client_placements):
-        _, solo = measure_composited(config, dur, rate, only=name)
+        _, solo = measure_composited(config, rate, only=name)
         report.client_capability_fps[name] = solo[name]
     return report

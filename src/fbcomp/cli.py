@@ -31,7 +31,8 @@ def _seconds(text: str) -> float:
 
 
 def _config_error(path, exc: Exception) -> int:
-    print(f"fbcomp: error: {path}: {exc}", file=sys.stderr)
+    where = f"{path}: " if path else ""
+    print(f"fbcomp: error: {where}{exc}", file=sys.stderr)
     return 2
 
 
@@ -68,15 +69,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    given = {"duration_s": args.duration, "sink": args.sink}
     try:
         config = (bench.load_bench_config(args.suite) if args.suite
                   else bench.BenchConfig())
+        config = replace(config, **{k: v for k, v in given.items() if v})
     except (OSError, ValueError) as exc:
         return _config_error(args.suite, exc)
-    if args.duration is not None:
-        config = replace(config, duration_s=args.duration)
-    if args.sink:
-        config = replace(config, sink=args.sink)
     report = bench.run_benchmark(config)
     print(report.to_text())
     if args.report:

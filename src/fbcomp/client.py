@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import shm
-from .clock import Clock, WallClock
+from .clock import Clock
 from .errors import SessionLost, UsageError
 from .frame_queue import FrameHandle, FrameQueue
 from .pixel import Surface
@@ -23,10 +23,10 @@ class ClientSession:
     """One output surface, one producer. Direct and composited sessions
     expose the same surface-filling API; only presentation differs."""
 
-    def __init__(self, queue: FrameQueue, clock: Optional[Clock] = None, *,
+    def __init__(self, queue: FrameQueue, clock: Clock, *,
                  region, header: shm.HeaderFields, sink=None):
         self.queue = queue
-        self.clock = clock or WallClock()
+        self.clock = clock
         self.sink = sink
         self._region = region
         self._header = header
@@ -91,7 +91,7 @@ class ClientSession:
 
 
 def open_direct_session(config: shm.RegionConfig, sink,
-                        clock: Optional[Clock] = None) -> ClientSession:
+                        clock: Clock) -> ClientSession:
     """Direct mode: the session owns both queue ends and an output sink."""
     region, header = shm.allocate_region(config)
     shm.publish(region)
@@ -100,7 +100,7 @@ def open_direct_session(config: shm.RegionConfig, sink,
                          header=header, sink=sink)
 
 
-def connect_session(region, clock: Optional[Clock] = None) -> ClientSession:
+def connect_session(region, clock: Clock) -> ClientSession:
     """Composited mode: attach to a server-published shared region; an
     unpublished one raises ServerUnavailable."""
     queue, header = shm.client_attach(region)

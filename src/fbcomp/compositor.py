@@ -9,22 +9,21 @@ disconnected placement.
 
 Composition is damage-tracked: each tick repaints only the placements
 whose content changed since the previous tick (every new take, a frame
-replaced by the indicator or by nothing, a newly registered client) and
-records the changed rows on the target as `Surface.damage`, so a sink
-can skip the rest. The frame on display is the client's queue view's
-`held` frame, so the server keeps no slot of its own: the take that
-replaces it frees the old slot. A held frame is drawn exactly once, when
-it is taken, so a client cannot change the display through a slot it
-handed over. A take repaints even when it chose the slot shown last: the
-queue caches one surface per slot, so the same surface object can carry
-a new frame.
+replaced by the indicator or by nothing) and records the changed rows
+on the target as `Surface.damage`, so a sink can skip the rest. The
+frame on display is the client's queue view's `held` frame, so the
+server keeps no slot of its own: the take that replaces it frees the old
+slot. A held frame is drawn exactly once, when it is taken, so a client
+cannot change the display through a slot it handed over. A take
+repaints even when it chose the slot shown last: the queue caches one
+surface per slot, so the same surface object can carry a new frame.
 That relies on the compositor being the only writer of its target
 surface: anything else that writes into it must not expect its pixels
 to survive or be presented. It also relies on no two registered
 placements overlapping. The client table only grows: a placement that
 overlaps any registered client, active or disconnected, is refused, so
 a disconnected client's area shows the indicator for the rest of the
-run.
+run, and a new client's placement already shows the background.
 
 Each tick trusts one word of a client's header, the magic; every other
 field comes from the header read and validated at registration. The
@@ -69,7 +68,6 @@ INDICATOR_FILL = (48, 16, 16, 255)
 _INDICATOR_SPACING = 16
 _INDICATOR_THICKNESS = 2
 _INDICATOR = "indicator"   # what a disconnected client's placement shows
-_UNPAINTED = "unpainted"   # a new client's placement: counts as changed
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,9 +115,10 @@ class ClientDescriptor:
     # (timestamp, frames submitted since previous observation)
     fps_window: deque = field(default_factory=deque)
     fps_frames: int = 0           # the sum of the counts in fps_window
+    presented: int = 0            # new takes: frames drawn on the target
     # what the placement shows on the target: a frame's surface,
     # _INDICATOR or None (background); set as it is painted
-    shown: object = _UNPAINTED
+    shown: object = None
 
 
 @dataclass
@@ -144,7 +143,6 @@ class CompositionTarget:
         self.surface = Surface.allocate(geometry, fmt)
         self.geometry = geometry
         self.format = PixelFormat(fmt)
-        self.background = background
         self._bg_native = pack_channels(fmt, *background.to_bytes(4, "big"))
 
     def clear(self, area: Rect) -> None:
@@ -176,8 +174,9 @@ class CompositorServer:
                         pixel_buf=None) -> ClientDescriptor:
         """Admit a published region at a fixed placement.
 
-        `pixel_buf` optionally supplies a read-only mapping used for all
-        pixel reads; status records are still driven through `region`.
+        Pixels are read through `pixel_buf` when given (a read-only
+        mapping), else through a read-only view of `region`; status
+        records are still driven through `region`.
         The placement may not overlap any registered client, active or
         disconnected: no client ever leaves `clients`, so its id order is
         its registration order. Every client gets a new id. A registration
@@ -196,7 +195,8 @@ class CompositorServer:
                 raise PlacementConflict(
                     f"placement {placement} overlaps client {other.id}")
         now = self.clock.now_us()
-        queue = shm.queue_view(region, header, pixel_buf=pixel_buf)
+        queue = shm.queue_view(region, header, pixel_buf=(
+            memoryview(region).toreadonly() if pixel_buf is None else pixel_buf))
         desc = ClientDescriptor(
             id=self._next_id, region=memoryview(region), header=header,
             queue=queue, placement=placement,
@@ -275,9 +275,8 @@ class CompositorServer:
         Fills the whole target with the background on the first tick.
         Then, client by client in registration order, takes a frame and
         repaints the placement if its content changed: every new take
-        does, and so does a newly registered client's placement. Presents
-        the rows painted since the last successful present as the
-        target's `damage`. After a failed present the target already
+        does. Presents the rows painted since the last successful present
+        as the target's `damage`. After a failed present the target already
         holds that tick's pixels, so the next tick presents them again
         and rereads no slot. A client whose region or frames fail the
         protocol (a FramebufferError) is disconnected and composition
@@ -333,6 +332,7 @@ class CompositorServer:
             desc.fps_window.append((now, submitted))
             desc.fps_frames += submitted
             desc.last_frame_seq = handle.sequence
+            desc.presented += 1
             return ClientReport(desc.id, "new", handle.sequence), handle.surface
         held = desc.queue.held
         if held is not None:

@@ -5,9 +5,10 @@ no internal shared state, so any thread may call any function.
 
 Pixel data convention: a pixel is 4 bytes, and the format name reads off
 the bytes in memory order, so R8G8B8A8 means byte 0 is red, byte 3 is
-alpha. A pixel handled as a 32-bit integer is little-endian (byte 0 is
-the least significant byte). Alpha is carried but never blended;
-composition is opaque copy.
+alpha. The name is the only statement of that order: every offset,
+permutation and packing here reads it off the name. A pixel handled as
+a 32-bit integer is little-endian (byte 0 is the least significant
+byte). Alpha is carried but never blended; composition is opaque copy.
 """
 
 from __future__ import annotations
@@ -32,18 +33,14 @@ class PixelFormat(enum.IntEnum):
     A8B8G8R8 = 3
 
 
-# Byte offset of each channel within a pixel, in memory order.
-_CHANNEL_OFFSETS = {
-    PixelFormat.R8G8B8A8: {"r": 0, "g": 1, "b": 2, "a": 3},
-    PixelFormat.B8G8R8A8: {"b": 0, "g": 1, "r": 2, "a": 3},
-    PixelFormat.A8R8G8B8: {"a": 0, "r": 1, "g": 2, "b": 3},
-    PixelFormat.A8B8G8R8: {"a": 0, "b": 1, "g": 2, "r": 3},
-}
+def _byte_order(fmt: PixelFormat) -> str:
+    """The channels in memory order: the name less its bit counts."""
+    return PixelFormat(fmt).name[::2]
 
 
 def channel_offsets(fmt: PixelFormat) -> dict:
     """Map channel name ('r','g','b','a') to its byte offset for `fmt`."""
-    return dict(_CHANNEL_OFFSETS[PixelFormat(fmt)])
+    return {ch.lower(): i for i, ch in enumerate(_byte_order(fmt))}
 
 
 @functools.cache
@@ -51,38 +48,28 @@ def channel_permutation(src: PixelFormat, dst: PixelFormat) -> tuple:
     """perm such that dst_bytes[i] = src_bytes[perm[i]] preserves channels.
 
     Memoized: there are 16 format pairs, and every blit asks for one."""
-    so = _CHANNEL_OFFSETS[PixelFormat(src)]
-    do = _CHANNEL_OFFSETS[PixelFormat(dst)]
-    perm = [0, 0, 0, 0]
-    for ch, di in do.items():
-        perm[di] = so[ch]
-    return tuple(perm)
+    order = _byte_order(src)
+    return tuple(order.index(ch) for ch in _byte_order(dst))
 
 
 def convert_pixel(value: int, src: PixelFormat, dst: PixelFormat) -> int:
     """Reorder the channels of a single 32-bit pixel from `src` to `dst`."""
-    if src == dst:
-        return value & 0xFFFFFFFF
     b = (value & 0xFFFFFFFF).to_bytes(4, "little")
-    perm = channel_permutation(src, dst)
-    return int.from_bytes(bytes(b[p] for p in perm), "little")
+    return int.from_bytes(bytes(b[p] for p in channel_permutation(src, dst)),
+                          "little")
 
 
 def pack_channels(fmt: PixelFormat, r: int, g: int, b: int, a: int) -> int:
-    off = _CHANNEL_OFFSETS[PixelFormat(fmt)]
-    out = bytearray(4)
-    out[off["r"]] = r & 0xFF
-    out[off["g"]] = g & 0xFF
-    out[off["b"]] = b & 0xFF
-    out[off["a"]] = a & 0xFF
-    return int.from_bytes(out, "little")
+    rgba = dict(zip("RGBA", (r, g, b, a)))
+    return int.from_bytes(bytes(rgba[ch] & 0xFF for ch in _byte_order(fmt)),
+                          "little")
 
 
 def unpack_channels(fmt: PixelFormat, value: int) -> tuple:
     """Return (r, g, b, a) of a 32-bit pixel under `fmt`."""
     raw = (value & 0xFFFFFFFF).to_bytes(4, "little")
-    off = _CHANNEL_OFFSETS[PixelFormat(fmt)]
-    return (raw[off["r"]], raw[off["g"]], raw[off["b"]], raw[off["a"]])
+    order = _byte_order(fmt)
+    return tuple(raw[order.index(ch)] for ch in "RGBA")
 
 
 def compute_pitch(width: int, fmt: PixelFormat, alignment: int = DEFAULT_ROW_ALIGNMENT) -> int:

@@ -65,6 +65,13 @@ class FaultAction:
     def __post_init__(self):
         if self.kind not in _FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        if not (math.isfinite(self.at_s) and self.at_s >= 0):
+            raise ValueError(f"{self.kind} time must be finite and not "
+                             f"negative, got {self.at_s!r}")
+        if self.kind == "stall" and self.duration_s is not None \
+                and not _positive(self.duration_s):
+            raise ValueError(f"stall duration must be positive and finite "
+                             f"(inf: forever), got {self.duration_s!r}")
         if self.kind == "slow-to" and not _positive(self.fps):
             raise ValueError(f"slow-to fps must be positive and finite, "
                              f"got {self.fps!r}")
@@ -490,7 +497,7 @@ class _Partition:
 
 
 class _Server:
-    """The compositor side: watchdog polls, compose ticks and their tallies.
+    """The compositor side: watchdog polls and compose ticks.
 
     Missed periods are dropped, not replayed: a slow compose must never
     build a backlog that outlives the run.
@@ -504,14 +511,8 @@ class _Server:
         self.clock = clock
         self.compose_period = int(1e6 / config.target.rate)
         self.watchdog_period = max(1, int(config.run.watchdog_poll_s * 1e6))
-        self.presented: Dict[int, int] = {}   # new frames by client id
         self.violations: List[str] = []
         self.start_us = 0
-
-    def register(self, spec: ClientSpec, region, pixel_buf=None) -> None:
-        desc = self.server.register_client(region, spec.placement, spec.min_fps,
-                                           pixel_buf=pixel_buf)
-        self.presented[desc.id] = 0
 
     def steps(self, start_us: int) -> List[Tuple[int, int, str, _Step]]:
         """Loop entries for both server steps; `start_us` is the time origin
@@ -527,9 +528,7 @@ class _Server:
     def compose(self, t: int) -> int:
         now = self.clock.now_us()
         try:
-            for cr in self.server.compose_once(now).clients:
-                if cr.outcome == "new":
-                    self.presented[cr.client_id] += 1
+            self.server.compose_once(now)
         except FramebufferError as exc:
             self.violations.append(
                 f"compose at {now - self.start_us}us failed: {exc}")
@@ -539,11 +538,12 @@ class _Server:
 
 def _build_report(config: ScenarioConfig, server: _Server,
                   exit_statuses: List[str]) -> ScenarioReport:
-    """Assemble the report from the server's tallies, each client's exit
-    status and the counts its region shows: the newest sequence counts its
-    submits, and the heartbeat counts them plus each begin that found no
-    FREE slot. The server's table only grows, in config order, so it pairs
-    with `config.clients` in order."""
+    """Assemble the report from the compositor's counts (its presents and
+    each client's new takes), each client's exit status and the counts its
+    region shows: the newest sequence counts its submits, and the
+    heartbeat counts them plus each begin that found no FREE slot. The
+    server's table only grows, in config order, so it pairs with
+    `config.clients` in order."""
     sink = server.sink
     report = ScenarioReport(
         duration_us=int(config.run.duration_s * 1e6), clock=config.run.clock,
@@ -562,7 +562,7 @@ def _build_report(config: ScenarioConfig, server: _Server,
         heartbeat = shm.read_heartbeat(desc.region, desc.header)
         report.clients[spec.name] = ClientResult(
             spec.name, submitted=submitted,
-            presented=server.presented[desc.id],
+            presented=desc.presented,
             skipped=max(0, heartbeat - submitted),
             disconnect=next(((e.t_us - server.start_us, e.reason)
                              for e in server.server.events
@@ -580,7 +580,7 @@ def _run_sim(config: ScenarioConfig) -> ScenarioReport:
     for spec in config.clients:
         buf, _ = shm.allocate_region(spec.region_config())
         shm.publish(buf)
-        server.register(spec, buf)
+        server.server.register_client(buf, spec.placement, spec.min_fps)
         partitions.append(_Partition(spec, buf, clock))
     steps = server.steps(0) + [(0, 2, p.spec.name, p.step) for p in partitions]
     _run_loop(clock, int(config.run.duration_s * 1e6), steps)
@@ -625,8 +625,9 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
                 name, shm.required_region_size(rc)))
             shm.encode_header(rc, mapped[-1].buf)
             shm.publish(mapped[-1].buf)
-            server.register(spec, mapped[-1].buf,
-                            pixel_buf=mapped[-1].readonly_buf)
+            server.server.register_client(mapped[-1].buf, spec.placement,
+                                          spec.min_fps,
+                                          pixel_buf=mapped[-1].readonly_buf)
         for spec, name in zip(config.clients, names):
             procs.append(ctx.Process(
                 target=_client_main,

@@ -124,7 +124,7 @@ class NullSink:
 
 
 class ChecksumSink:
-    """Records (timestamp, checksum) per presented frame.
+    """Records the checksum of each presented frame.
 
     The checksum is always `frame_checksum`'s. For the last surface seen,
     when it is tight R8G8B8A8 and carries a `damage` span, the sink
@@ -136,7 +136,7 @@ class ChecksumSink:
     """
 
     def __init__(self):
-        self.frames: List[Tuple[int, int]] = []
+        self._checksums: List[int] = []
         self._last: Optional[Surface] = None
         self._crc = 0
         self._band = (0, 0)       # rows [b0, b1) of _last
@@ -148,7 +148,7 @@ class ChecksumSink:
         self._ops: Dict[int, int] = {}
 
     def present(self, surface: Surface, now_us: int) -> None:
-        self.frames.append((now_us, self._checksum(surface)))
+        self._checksums.append(self._checksum(surface))
 
     def _checksum(self, surface: Surface) -> int:
         damage = surface.damage
@@ -194,10 +194,10 @@ class ChecksumSink:
 
     @property
     def count(self) -> int:
-        return len(self.frames)
+        return len(self._checksums)
 
     def checksums(self) -> List[int]:
-        return [c for _, c in self.frames]
+        return list(self._checksums)
 
 
 def write_ppm(path, surface: Surface) -> int:

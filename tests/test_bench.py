@@ -1,4 +1,5 @@
 import json
+import platform
 from dataclasses import replace
 
 import pytest
@@ -62,6 +63,12 @@ class TestLoadBenchConfig:
         with pytest.raises(ValueError, match=r"\[bench\] " + named):
             self.load(tmp_path, text)
 
+    def test_wall_engine_phases_refused_off_x86_64(self, monkeypatch):
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+        with pytest.raises(ValueError, match=r"\[bench\] phases c and d: .* "
+                                             r"on this aarch64 host"):
+            BenchConfig()
+
     def test_report_keeps_phase_duration_key(self):
         report = BenchmarkReport(machine="host", config=BenchConfig(duration_s=2.0))
         assert json.loads(report.to_json())["config"]["phase_duration_s"] == 2.0
@@ -104,7 +111,7 @@ class TestFramebufferPhase:
 
         monkeypatch.setattr(bench, "open_direct_session", kept_session)
         config = replace(SMALL, queue_depth=depth)
-        direct_fps, framebuffer_fps = bench.measure_single_process(config, 0.2)
+        direct_fps, framebuffer_fps = bench.measure_single_process(config)
         assert direct_fps > 0 and framebuffer_fps > 0
         (session,) = sessions
         assert session.frames_submitted > 1
@@ -126,7 +133,7 @@ class TestFramebufferPhase:
         monkeypatch.setattr(sinks, "make_sink", lambda kind: (
             made.append(Recorder()) or made[-1]))
         config = replace(SMALL, format=PixelFormat.B8G8R8A8)
-        bench.measure_single_process(config, 0.2)
+        bench.measure_single_process(config)
         one, other = made   # the direct sink and the session's
         assert len(one.frames) > 4
         assert one.frames == other.frames

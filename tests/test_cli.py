@@ -3,7 +3,7 @@ import platform
 
 import pytest
 
-from fbcomp import scenario, shm
+from fbcomp import bench, scenario, shm
 from fbcomp.cli import main
 from fbcomp.pixel import PixelFormat, SurfaceGeometry
 from fbcomp.scenario import (ClientSpec, FaultAction, RunSpec, ScenarioConfig,
@@ -141,6 +141,8 @@ class TestConfigErrors:
         ("run", "[run]\nsink = images\n"),
         ("bench", "[bench]\nsink = bogus\n"),
         ("run", "[target]\nbackground = -1\n"),
+        ("run", "[client:a]\nfaults = crash@nan\n"),
+        ("run", "[client:a]\nfaults = stall@0.2:0\n"),
     ], ids=["run-unknown-key", "run-rate-0", "run-fps-0", "run-no-header",
             "bench-unknown-key", "bench-bad-int", "run-queue-depth-0",
             "run-duration-negative", "bench-queue-depth-0",
@@ -149,7 +151,8 @@ class TestConfigErrors:
             "bench-client-width-0", "run-widget-misspelt",
             "run-clock-misspelt", "run-sink-unknown",
             "run-images-sink-without-dir", "bench-sink-unknown",
-            "run-background-negative"])
+            "run-background-negative", "run-fault-time-nan",
+            "run-stall-duration-0"])
     def test_bad_file_is_one_line_and_exit_two(self, tmp_path, capsys,
                                                command, text):
         path = tmp_path / "bad.cfg"
@@ -182,6 +185,24 @@ class TestConfigErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith(f"fbcomp: error: {scenario_file}: [run] clock")
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_bench_off_x86_64_is_exit_two_before_any_phase(
+            self, tmp_path, monkeypatch, capsys, with_file):
+        # Phases c and d run the wall engine, so no phase may start.
+        monkeypatch.setattr(platform, "machine", lambda: "aarch64")
+        monkeypatch.setattr(bench, "run_benchmark", lambda config: pytest.fail(
+            "a bench phase ran on an aarch64 host"))
+        path = tmp_path / "suite.cfg"
+        path.write_text("[bench]\n")
+        args = ["bench", "--duration", "0.2"] + ([str(path)] if with_file else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        where = f"{path}: " if with_file else ""
+        assert line.startswith(f"fbcomp: error: {where}[bench] ")
+        assert "clock must be sim on this aarch64 host" in line
 
     def test_sink_dir_that_cannot_be_made_is_exit_two(self, scenario_file,
                                                       tmp_path, capsys):

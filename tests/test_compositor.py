@@ -193,6 +193,56 @@ class TestCompose:
         # target is R8G8B8A8: channels must come out by name, not by position
         assert tuple(server.target.surface.pixels()[0, 0]) == (10, 20, 30, 255)
 
+    def test_presented_counts_new_takes_only(self):
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        a_buf, a = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        # (frames submitted before the tick, its outcome, presented after)
+        for frames, outcome, presented in ((0, "empty", 0), (1, "new", 1),
+                                           (0, "held", 1), (2, "new", 2),
+                                           (1, "new", 3), (0, "held", 3)):
+            for i in range(frames):
+                submit(a, i)
+            rep = server.compose_once(clock.now_us())
+            assert rep.clients[0].outcome == outcome
+            assert da.presented == presented
+        submit(a, 9)
+        server.disconnect(da, "watchdog", clock.now_us())
+        for _ in range(2):
+            assert server.compose_once(clock.now_us()).clients[0].outcome \
+                == "disconnected"
+        assert da.presented == 3
+
+    def test_take_in_a_failed_present_is_counted(self):
+        # The target keeps a frame taken in a tick whose present fails,
+        # and the next present shows it.
+        clock = SimClock()
+        server, sink = make_server(clock=clock, sink=FailOnceSink())
+        a_buf, a = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        submit(a, 1)
+        sink.fail = True
+        with pytest.raises(PresentFailure):
+            server.compose_once(clock.now_us())
+        assert da.presented == 1
+        assert server.compose_once(clock.now_us()).clients[0].outcome == "held"
+        assert da.presented == 1 and sink.count == 1
+
+    def test_pixels_read_only_without_a_pixel_mapping(self):
+        # With no pixel_buf the server still reads every slot's pixels
+        # through a read-only view, and drives the status records.
+        clock = SimClock()
+        server, _ = make_server(clock=clock)
+        a_buf, a = make_client(clock)
+        da = server.register_client(a_buf, Rect(0, 0, 64, 64), 1)
+        assert not any(da.queue.surface(i).writable
+                       for i in range(da.queue.depth))
+        submit(a, 5)
+        assert server.compose_once(clock.now_us()).clients[0].outcome == "new"
+        assert a.queue.statuses().count(FrameState.DRAWING) == 1
+        assert server.target.surface.pixels()[0, 0, 0] == 5
+
     def test_two_format_region_uses_first_format(self):
         # Registered before the client attaches, as every scenario does:
         # server and client must both read frames as formats[0].
@@ -912,7 +962,7 @@ class TestDamage:
         assert [r.outcome for r in rep.clients] == ["held", "empty"]
         assert np.array_equal(server.target.surface.pixels(), presented)
         assert sink.checksums()[-1] == checksum
-        assert server.target.surface.damage == (200, 264)
+        assert server.target.surface.damage == (0, 0)
 
     def test_damage_spans_changed_rows(self):
         clock = SimClock()
@@ -964,7 +1014,7 @@ class TestDamage:
         rep = server.compose_once(clock.now_us())
         assert [r.outcome for r in rep.clients] == ["held", "disconnected", "empty"]
         target = server.target.surface
-        assert target.damage == (100, 164)
+        assert target.damage == (0, 0)
         # B has no frame yet, so its area stays background.
         assert np.array_equal(target.pixels(), painted)
         assert sink.checksums()[-1] == frame_checksum(target)

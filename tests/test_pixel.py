@@ -45,6 +45,14 @@ class TestConvertPixel:
     def test_round_trip(self, v, f, g):
         assert convert_pixel(convert_pixel(v, f, g), g, f) == v
 
+    def test_byte_order_is_the_name(self):
+        # R8G8B8A8 names byte 0 red and byte 3 alpha, and so on.
+        assert [channel_offsets(f) for f in FORMATS] == [
+            {"r": 0, "g": 1, "b": 2, "a": 3}, {"b": 0, "g": 1, "r": 2, "a": 3},
+            {"a": 0, "r": 1, "g": 2, "b": 3}, {"a": 0, "b": 1, "g": 2, "r": 3}]
+        assert [pack_channels(f, 1, 2, 3, 4) for f in FORMATS] == [
+            0x04030201, 0x04010203, 0x03020104, 0x01020304]
+
     def test_channel_oracle_all_pairs(self):
         # Independent oracle: place each of 256 probe values into one
         # named channel via the channel-offset table and demand the

@@ -231,6 +231,15 @@ class TestConfigFormat:
         ("[client:a]\ncomplexity = 0\n", r"\[client:a\] complexity"),
         ("[client:a]\ncomplexity = -2\n", r"\[client:a\] complexity"),
         ("[client:a]\nfaults = slow-to:0@1\n", "slow-to fps"),
+        ("[client:a]\nfaults = crash@nan\n",
+         "'faults'.*crash time must be finite and not negative, got nan"),
+        ("[client:a]\nfaults = crash@inf\n", "crash time must be finite"),
+        ("[client:a]\nfaults = garbage-header@-1\n",
+         "garbage-header time must be finite and not negative"),
+        ("[client:a]\nfaults = stall@1:-5\n",
+         "'faults'.*stall duration must be positive and finite"),
+        ("[client:a]\nfaults = stall@1:0\n", "stall duration must be positive"),
+        ("[client:a]\nfaults = stall@1:nan\n", "stall duration must be positive"),
         ("[client:a]\nqueue_depth = 0\n", r"\[client:a\] queue depth"),
         ("[client:a]\nqueue_depth = 1\n",
          r"\[client:a\] queue depth: frameCount 1 outside 2\.\.8"),
@@ -272,7 +281,9 @@ class TestConfigFormat:
             "rate-above-1e6", "fps-0",
             "fps-negative", "fps-inf", "fps-nan", "min-fps-negative",
             "min-fps-inf", "min-fps-nan", "complexity-0",
-            "complexity-negative", "slow-to-fps-0", "queue-depth-0",
+            "complexity-negative", "slow-to-fps-0", "fault-time-nan",
+            "fault-time-inf", "fault-time-negative", "stall-duration-negative",
+            "stall-duration-0", "stall-duration-nan", "queue-depth-0",
             "queue-depth-1", "queue-depth-9", "timeout-0", "timeout-inf",
             "timeout-below-two-periods", "width-0", "fps-over-u32",
             "timeout-over-u64", "timeout-overflows-float", "duration-negative",
@@ -372,6 +383,29 @@ class TestSimEngine:
             # nearly every compose
             assert 28 <= result.presented <= 30
             assert result.submitted >= 40
+
+    def test_presented_is_the_compositors_count(self, monkeypatch):
+        # Each client's presented is its descriptor's count of new takes,
+        # which is the number of "new" outcomes its compose reports show.
+        servers, new = set(), {}
+        compose_once = CompositorServer.compose_once
+
+        def counted_compose(server, now_us):
+            report = compose_once(server, now_us)
+            servers.add(server)
+            for cr in report.clients:
+                if cr.outcome == "new":
+                    new[cr.client_id] = new.get(cr.client_id, 0) + 1
+            return report
+
+        monkeypatch.setattr(CompositorServer, "compose_once", counted_compose)
+        config = two_client_config(a={"faults": (FaultAction("stall", 0.4),)})
+        report = run_scenario(config)
+        (server,) = servers
+        assert report.clients["alpha"].disconnect is not None
+        for spec, desc in zip(config.clients, server.clients.values()):
+            assert report.clients[spec.name].presented == desc.presented \
+                == new[desc.id] > 0
 
     def test_deterministic_replay(self):
         first = run_scenario(two_client_config(a={"widget": "counters"}))
