@@ -203,7 +203,7 @@ class CompositorServer:
             min_fps=min_fps,
             # A region can carry frames before it is registered; the first
             # take counts only what was submitted after this point.
-            last_frame_seq=max(queue.sequence(i) for i in range(queue.depth)),
+            last_frame_seq=queue.newest_sequence(),
             deadline_us=now + header.timeout_us,
             last_heartbeat=shm.read_heartbeat(region, header),
             connected_at_us=now,

@@ -86,7 +86,7 @@ class FrameQueue:
         self.held: Optional[FrameHandle] = None   # the consumer's frame
         # Sequences never reset, so the producer counter is recoverable
         # from the buffer after a reattach.
-        self._next_seq = max(self._read()[1::2]) + 1
+        self._next_seq = self.newest_sequence() + 1
 
     # -- record access ----------------------------------------------------
 
@@ -138,6 +138,10 @@ class FrameQueue:
 
     def sequence(self, index: int) -> int:
         return _SEQ.unpack_from(self._buf, self._rec(index) + 8)[0]
+
+    def newest_sequence(self) -> int:
+        """The highest sequence in any slot; it reads no status to check."""
+        return max(self._read()[1::2])
 
     def statuses(self) -> tuple:
         return tuple(map(FrameState, self._checked_read()[::2]))

@@ -32,6 +32,7 @@ import json
 import math
 import multiprocessing
 import platform
+import signal
 import sys
 import uuid
 from dataclasses import asdict, dataclass, field, fields
@@ -557,8 +558,7 @@ def _build_report(config: ScenarioConfig, server: _Server,
     for spec, desc, status in zip(config.clients,
                                   server.server.clients.values(),
                                   exit_statuses):
-        submitted = max(desc.queue.sequence(i)
-                        for i in range(desc.queue.depth))
+        submitted = desc.queue.newest_sequence()
         heartbeat = shm.read_heartbeat(desc.region, desc.header)
         report.clients[spec.name] = ClientResult(
             spec.name, submitted=submitted,
@@ -598,6 +598,7 @@ def _client_main(spec: ClientSpec, duration_s: float,
     """One partition's process: attach to its own region, run its frame
     step and exit with the code of its exit status. A forked child gets
     `spec` as the object itself, without pickling."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)   # terminate() ends it
     clock = WallClock()
     region = regions.open_region(region_name)
     partition = _Partition(spec, region.buf, clock)
@@ -610,7 +611,9 @@ def _client_main(spec: ClientSpec, duration_s: float,
 def _run_wall(config: ScenarioConfig) -> ScenarioReport:
     """The calling process is the server. It lays out, publishes and
     registers every region before the first client process starts; no
-    region mapping survives a fork, so each client maps only its own."""
+    region mapping survives a fork, so each client maps only its own.
+    While it runs, SIGTERM raises SystemExit, so a terminated run still
+    ends its client processes and unlinks its regions."""
     session = uuid.uuid4().hex[:12]
     names = [regions.region_name(session, i)
              for i in range(len(config.clients))]
@@ -618,6 +621,8 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
     clock = WallClock()
     server = _Server(config, clock)
     mapped, procs = [], []
+    previous = signal.signal(signal.SIGTERM,
+                             lambda signum, _: sys.exit(128 + signum))
     try:
         for spec, name in zip(config.clients, names):
             rc = spec.region_config()
@@ -645,6 +650,7 @@ def _run_wall(config: ScenarioConfig) -> ScenarioReport:
         return _build_report(config, server, [
             statuses.get(p.exitcode, "crashed") for p in procs])
     finally:
+        signal.signal(signal.SIGTERM, previous)
         for p in procs:
             if p.is_alive():
                 p.terminate()

@@ -12,10 +12,10 @@ same CRC-32, so no checksum depends on which one runs;
 `CRC32_BACKEND` names it.
 
 `ChecksumSink` reads `Surface.damage`: handed the same tight R8G8B8A8
-surface twice, it CRCs only the changed rows and splices in cached CRCs
-of the rest. That is exact only while the damage names every changed
-row, which holds for the compositor's target because the compositor is
-its only writer.
+surface with the same damage span twice, it CRCs only the span's rows
+and splices in cached CRCs of the rest. That is exact only while the
+damage names every changed row, which holds for the compositor's target
+because the compositor is its only writer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import ctypes
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -128,24 +128,21 @@ class ChecksumSink:
 
     The checksum is always `frame_checksum`'s. For the last surface seen,
     when it is tight R8G8B8A8 and carries a `damage` span, the sink
-    caches a band of rows with the CRC of the rows above it (running) and
-    of the rows below it (standalone). A present with no damage repeats
-    the last checksum; damage inside the band CRCs only the band and
-    shrinks it to the damage; any other damage costs one full pass that
-    re-caches at the new damage.
+    caches the CRCs around the last span it was given: of the rows above
+    it (running) and of the rows below it (standalone). A present with no
+    damage repeats the last checksum; the same span again, as a compose
+    loop presents it, CRCs only its rows; a new surface or any other span
+    costs one full pass, which re-caches at that span.
     """
 
     def __init__(self):
         self._checksums: List[int] = []
         self._last: Optional[Surface] = None
+        self._span = (0, 0)       # rows [y0, y1) of _last
         self._crc = 0
-        self._band = (0, 0)       # rows [b0, b1) of _last
-        self._prefix = 0          # CRC of the rows above the band
+        self._prefix = 0          # CRC of the rows above the span
         self._suffix = 0          # CRC of the rows below it, on its own
-        self._suffix_len = 0      # and their length in bytes
-        # byte length -> _shift_op(length); lengths are whole rows of
-        # _last, so this holds at most its height + 1 entries.
-        self._ops: Dict[int, int] = {}
+        self._shift = 0           # _shift_op of the suffix's length
 
     def present(self, surface: Surface, now_us: int) -> None:
         self._checksums.append(self._checksum(surface))
@@ -159,38 +156,20 @@ class ChecksumSink:
         y0, y1 = damage
         if not 0 <= y0 <= y1 <= height:
             raise ValueError(f"damage {damage} outside rows 0..{height}")
-        same = surface is self._last
-        if same and y0 == y1:
+        if surface is self._last and y0 == y1:
             return self._crc
-        b0, b1 = self._band
-        if same and b0 <= y0 and y1 <= b1:
-            prefix, suffix, suffix_len = self._prefix, self._suffix, self._suffix_len
-        else:
-            if not same:
-                self._ops.clear()
-            b0, b1, prefix, suffix, suffix_len = 0, height, 0, 0, 0
         buf = surface.buffer()
         pitch = surface.geometry.pitch
-        # An empty span is skipped, not CRCed: crc32(b"", v) == v and
-        # combining with zero bytes is the identity, so when the damage is
-        # the cached band this is one CRC and at most one combine.
-        if b0 < y0:
-            prefix = crc32(buf[b0 * pitch:y0 * pitch], prefix)
-        head = crc32(buf[y0 * pitch:y1 * pitch], prefix)
-        if y1 < b1:
-            suffix = self._combine(crc32(buf[y1 * pitch:b1 * pitch]),
-                                   suffix, suffix_len)
-            suffix_len += (b1 - y1) * pitch
-        self._crc = self._combine(head, suffix, suffix_len) if suffix_len else head
-        self._last, self._band = surface, (y0, y1)
-        self._prefix, self._suffix, self._suffix_len = prefix, suffix, suffix_len
+        if surface is not self._last or (y0, y1) != self._span:
+            self._last, self._span = surface, (y0, y1)
+            self._prefix = crc32(buf[:y0 * pitch])
+            self._suffix = crc32(buf[y1 * pitch:])
+            self._shift = _shift_op((height - y1) * pitch)
+        crc = crc32(buf[y0 * pitch:y1 * pitch], self._prefix)
+        # With no rows below, the splice is the identity: skip it.
+        self._crc = (_multmodp(self._shift, crc) ^ self._suffix
+                     if y1 < height else crc)
         return self._crc
-
-    def _combine(self, crc1: int, crc2: int, len2: int) -> int:
-        op = self._ops.get(len2)
-        if op is None:
-            op = self._ops[len2] = _shift_op(len2)
-        return _multmodp(op, crc1) ^ crc2
 
     @property
     def count(self) -> int:

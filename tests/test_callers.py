@@ -17,7 +17,7 @@ PACKAGE = ROOT / "src" / "fbcomp"
 TEST_ONLY = {
     "convert_pixel": "per-pixel oracle of the converted blit",
     "unpack_channels": "inverse of pack_channels, to read pixels back",
-    "crc32_combine": "oracle of the chained CRC of a damaged band",
+    "crc32_combine": "oracle of the CRC spliced around a damage span",
     "fill": "fills a surface with one pixel, to set up and forge frames",
     "status": "one slot's state, to observe the queue",
     "statuses": "every slot's state, to observe the queue",

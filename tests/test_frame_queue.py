@@ -161,6 +161,9 @@ class TestRecords:
             with pytest.raises(ProtocolViolation,
                                match="slot 2 has invalid status 4"):
                 op(stray)
+        # The newest sequence reads no status, so a forged one cannot
+        # make registration or the report raise.
+        assert q.newest_sequence() == 1
 
     def test_violation_shows_every_record_and_the_held_frame(self):
         buf = bytearray(3 * STATUS_RECORD_SIZE + 3 * 4)

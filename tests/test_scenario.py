@@ -4,6 +4,9 @@ import multiprocessing
 import os
 import platform
 import re
+import signal
+import subprocess
+import sys
 import time
 import uuid
 from dataclasses import fields, replace
@@ -722,6 +725,38 @@ class TestWallEngine:
                 regions.open_region(name)
         assert multiprocessing.active_children() == []
 
+    def test_sigterm_ends_clients_and_unlinks_regions(self, tmp_path):
+        # SIGTERM's default action would skip the cleanup in `_run_wall`'s
+        # `finally`, leaving the region in /dev/shm and the client running.
+        path = tmp_path / "one.ini"
+        path.write_text(
+            "[target]\nwidth = 128\nheight = 128\n"
+            "[run]\nclock = wall\nsink = null\nduration = 4\n"
+            "[client:a]\nwidth = 64\nheight = 64\n")
+        before = _shm_regions()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fbcomp.cli", "run", str(path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        children_file = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline = time.monotonic() + 10
+            children = []
+            while not (children and _shm_regions() - before):
+                assert proc.poll() is None, "fbcomp run ended before SIGTERM"
+                assert time.monotonic() < deadline, "no region or client"
+                time.sleep(0.01)
+                children = children_file.read_text().split()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(10) != 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert _shm_regions() - before == set()
+        assert [pid for pid in children if Path(f"/proc/{pid}").exists()] == []
+
     def test_each_client_maps_only_its_own_region(self, monkeypatch, tmp_path):
         # Runs in each forked client: record the regions this process maps.
         def record_maps(surface, n):
@@ -745,6 +780,11 @@ class TestWallEngine:
         assert len(mapped) == 3
         assert all(len(paths) == 1 for paths in mapped)
         assert len(set.union(*mapped)) == 3
+
+
+def _shm_regions() -> set:
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("fbcomp-")}
 
 
 def _unique(prefix: str) -> str:

@@ -127,31 +127,51 @@ class TestChecksumSinkDamage:
         # The steady state of a compose loop: the same rows change every
         # tick. Only those rows are CRCed, and only a band with rows below
         # it pays a combine (the shift operator of those rows is cached).
-        s = Surface.allocate(SurfaceGeometry.for_width(16, 40), PixelFormat.R8G8B8A8)
-        rng = random.Random(4)
-        sink = ChecksumSink()
-        calls = {"crc32": 0, "multmodp": 0}
+        calls = present_spans(monkeypatch, [band] * 4, seed=4, counted_tick=2)
+        assert calls == {"crc32": 1, "multmodp": combines}
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+    @pytest.mark.parametrize("first,second,combines", [
+        ((0, 40), (10, 25), 1), ((10, 25), (25, 40), 0),
+        ((25, 40), (0, 12), 1), ((0, 12), (0, 40), 0)],
+        ids=["whole-to-middle", "middle-to-bottom", "bottom-to-top",
+             "top-to-whole"])
+    def test_changed_span_rebuilds_the_cache(self, monkeypatch, first, second,
+                                             combines):
+        # Span A twice, then span B twice: the first present at B is a full
+        # pass that re-caches at B, so the second costs what A's did.
+        calls = present_spans(monkeypatch, [first, first, second, second],
+                              seed=6, counted_tick=3)
+        assert calls == {"crc32": 1, "multmodp": combines}
 
-        y0, y1 = band
-        for tick in range(4):
-            s.pixels()[y0:y1] = np.frombuffer(
-                rng.randbytes((y1 - y0) * 16 * 4), np.uint8).reshape(-1, 16, 4)
-            s.damage = band
-            if tick == 2:
-                monkeypatch.setattr(sinks, "crc32", counted("crc32", sinks.crc32))
-                monkeypatch.setattr(sinks, "_multmodp",
-                                    counted("multmodp", sinks._multmodp))
-            sink.present(s, tick)
-            if tick == 2:
-                monkeypatch.undo()
-                assert calls == {"crc32": 1, "multmodp": combines}
-            assert sink.checksums()[-1] == frame_checksum(s)
+
+def present_spans(monkeypatch, spans, seed, counted_tick):
+    """Present one 16x40 surface once per damage span, after random writes
+    to the span's rows; every checksum must be a full pass's. Returns the
+    crc32 and _multmodp calls made by the present at `counted_tick`."""
+    s = Surface.allocate(SurfaceGeometry.for_width(16, 40), PixelFormat.R8G8B8A8)
+    rng = random.Random(seed)
+    sink = ChecksumSink()
+    calls = {"crc32": 0, "multmodp": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for tick, (y0, y1) in enumerate(spans):
+        s.pixels()[y0:y1] = np.frombuffer(
+            rng.randbytes((y1 - y0) * 16 * 4), np.uint8).reshape(-1, 16, 4)
+        s.damage = (y0, y1)
+        if tick == counted_tick:
+            monkeypatch.setattr(sinks, "crc32", counted("crc32", sinks.crc32))
+            monkeypatch.setattr(sinks, "_multmodp",
+                                counted("multmodp", sinks._multmodp))
+        sink.present(s, tick)
+        if tick == counted_tick:
+            monkeypatch.undo()
+        assert sink.checksums()[-1] == frame_checksum(s)
+    return calls
 
 
 class TestImageSequence:
